@@ -51,7 +51,6 @@ from .gabor import adjoint_lattice, zak_transform
 from .groups import validate_multiplier
 from .linalg import RANK_TOL
 from .reps import verify_rep
-from .vonneumann import center, commutant, double_commutant
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -94,7 +93,10 @@ def _rep_spec_from_args(args) -> dict:
         if args.N is None or not args.freqs:
             raise InvalidParameterError("character reps need --N and --freqs")
         spec["n"] = args.N
-        spec["freqs"] = [int(k) for k in args.freqs.split(",")]
+        try:
+            spec["freqs"] = [int(k) for k in args.freqs.split(",")]
+        except ValueError as exc:
+            raise InvalidParameterError(f"cannot parse --freqs {args.freqs!r}: {exc}") from exc
     elif args.rep == "custom":
         if not args.rep_json:
             raise InvalidParameterError("custom reps need --rep-json FILE")
@@ -200,9 +202,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_commutant(args) -> int:
     rep = serialize.resolve_rep_spec(_rep_spec_from_args(args))
-    comm = commutant(rep.matrices, rank_tol=args.rank_tol)
-    alg = double_commutant(rep.matrices, rank_tol=args.rank_tol)
-    ctr = center(alg, rank_tol=args.rank_tol, check_algebra=False)
+    comm = rep.commutant()
+    alg = rep.algebra(args.rank_tol)
+    ctr = rep.center(args.rank_tol)
     _emit(args, "commutant", {
         "representation": rep.label,
         "dim": rep.dim,
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(p)
     p.add_argument("--n", type=int, default=200, help="random draws")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; reports are identical for any value")
+                   help="accepted for compatibility; vectors run serially")
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -390,14 +392,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether a JSON value could have come from the flag on the command
+    line: a bool for a switch, a number of the flag's type, a string for an
+    untyped flag, and one of its choices if it has any."""
+    if action.nargs == 0:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if action.type is int:
+        ok = isinstance(value, int)
+    elif action.type is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, str)
+    return ok and (action.choices is None or value in action.choices)
+
+
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise InvalidParameterError("config file must hold a JSON object")
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        actions = {a.dest: a for a in commands[args.command]._actions
+                   if a.option_strings and a.dest != "help"}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions:
                 raise InvalidParameterError(f"unknown config key {key!r}")
+            if not _config_value_ok(actions[attr], value):
+                raise InvalidParameterError(
+                    f"config key {key!r} has invalid value {value!r}")
             setattr(args, attr, value)
 
 
@@ -409,9 +437,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     started = time.perf_counter()
     try:
-        _apply_config(args)
+        _apply_config(parser, args)
         code = args.func(args)
-    except (InvalidParameterError, InvalidPairError, FileNotFoundError,
+    except (InvalidParameterError, InvalidPairError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"framedual: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,6 @@ any failure as a counterexample worth dumping.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ from .gabor import GaborLattice, adjoint_lattice, gabor_rep
 from .groups import FiniteGroup, Multiplier
 from .linalg import RANK_TOL, random_complex_vector, substream
 from .reps import ProjectiveRep, left_regular, right_regular, subrepresentation
-from .vonneumann import commutant, double_commutant, operator_subspace_residual
+from .vonneumann import operator_subspace_residual
 
 PAIR_TOL = 1e-8  # principal-angle gate for operator-algebra equality
 
@@ -117,13 +116,14 @@ class SweepReport:
 def is_commuting_pair(pi: ProjectiveRep, sigma: ProjectiveRep,
                       tol: float = PAIR_TOL,
                       rank_tol: float = RANK_TOL) -> CommutingPairCheck:
-    """Compare pi(G)' with sigma(G)'' as subspaces of matrix space."""
+    """Compare pi(G)' with sigma(G)'' as subspaces of matrix space: the
+    range of pi's group average against the span of sigma's image."""
     if pi.dim != sigma.dim:
         raise InvalidParameterError(
             f"representations act on different spaces: {pi.dim} vs {sigma.dim}"
         )
-    comm = commutant(pi.matrices, rank_tol)
-    alg = double_commutant(sigma.matrices, rank_tol)
+    comm = pi.commutant()
+    alg = sigma.algebra(rank_tol)
     residual = operator_subspace_residual(comm, alg)
     equal = comm.dim == alg.dim and residual < tol
     return CommutingPairCheck(equal, residual, comm.dim, alg.dim)
@@ -268,8 +268,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     pairs away from critical density, where a Parseval orbit on one side
     meets an orthogonal but not orthonormal orbit on the other; and only the
     frame-sequence clause for commuting pairs that are not dual.  Draw i
-    always uses substream (seed, i), so reports are identical for any jobs
-    count.
+    always uses substream (seed, i).  The vectors run serially: ``jobs`` is
+    accepted and ignored, so reports are identical for any jobs count.
     """
     certificate = certify_dual_pair(pi, sigma, seed, tol=pair_tol,
                                     rank_tol=rank_tol, flag_tol=flag_tol)
@@ -308,16 +308,10 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
             defect = float(np.abs(gram - np.eye(sigma.group.order)).max())
         return source, verdict, defect
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
-
     n_skipped = n_consistent = n_inconsistent = 0
     gram_defect = 0.0
     counterexamples: list[SweepCounterexample] = []
-    for (source, verdict, defect) in results:
+    for source, verdict, defect in map(run_one, tasks):
         if verdict is None:
             n_skipped += 1
             continue

@@ -156,12 +156,6 @@ def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np
     return psd_power(s, -0.5, rank_tol) @ x
 
 
-def commutant_of(rep: ProjectiveRep, rank_tol: float = RANK_TOL) -> vonneumann.OperatorSubspace:
-    """Commutant of the representation's image, cached nowhere: callers that
-    loop should compute it once and pass it along."""
-    return vonneumann.commutant(rep.matrices, rank_tol)
-
-
 def theta_range(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> Subspace:
     """Range of the analysis operator inside the coefficient space C^|G|."""
     theta = analysis_op(rep, xi).matrix
@@ -174,7 +168,7 @@ def commutant_orbit(rep: ProjectiveRep, xi,
     """Span of {K xi : K in the commutant of pi(G)}."""
     x = np.asarray(xi, dtype=complex).reshape(-1)
     if comm is None:
-        comm = commutant_of(rep, rank_tol)
+        comm = rep.commutant()
     cols = (comm.basis @ x).T  # (dim, k)
     return rank_and_range(cols, rank_tol)[1]
 
@@ -182,7 +176,7 @@ def commutant_orbit(rep: ProjectiveRep, xi,
 def _dual_route(rep, x, y, predicate, tol, comm, rank_tol):
     r1 = predicate(theta_range(rep, x, rank_tol), theta_range(rep, y, rank_tol), tol)
     if comm is None:
-        comm = commutant_of(rep, rank_tol)
+        comm = rep.commutant()
     r2 = predicate(commutant_orbit(rep, x, comm, rank_tol),
                    commutant_orbit(rep, y, comm, rank_tol), tol)
     if r1 != r2:
@@ -265,7 +259,7 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
         )
 
     base = parseval_normalize(rep, x, rank_tol) if mode == "parseval" else x
-    comm = commutant_of(rep, rank_tol)
+    comm = rep.commutant()
 
     def certified(h, tries):
         if not pi_orthogonal(rep, base, h, route_tol, comm, rank_tol):
@@ -379,7 +373,7 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
     if x.size != rep.dim or y.size != rep.dim:
         raise InvalidParameterError("vector lengths do not match representation dim")
     if algebra is None:
-        algebra = vonneumann.double_commutant(rep.matrices, rank_tol)
+        algebra = rep.algebra(rank_tol)
     cols = (algebra.basis @ x).T  # (dim, k)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     a = np.tensordot(coeffs, algebra.basis, axes=(0, 0))

@@ -3,19 +3,28 @@
 A representation is stored densely as a stack of unitaries, one per group
 element, together with the cocycle mu that twists compositions:
 pi(g) pi(h) = mu(g, h) pi(gh).
+
+Its three operator spaces come from the group structure.  The group average
+E(X) = |G|^-1 sum_g pi(g) X pi(g)* is the Hilbert-Schmidt-orthogonal
+projection onto the commutant pi(G)' (the cocycle phases cancel inside it);
+the generated algebra pi(G)'' is the span of the image; the center is the
+image of that span under E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParameterError, NotInvariantError, NotProjectiveError
 from .groups import FiniteGroup, Multiplier, cyclic_group, trivial_multiplier, validate_multiplier
-from .linalg import hermitian_eig
+from .linalg import RANK_TOL, hermitian_eig
+from .vonneumann import OperatorSubspace
 
 REP_TOL = 1e-10  # default residual gate for unitarity and twisted composition
+AVERAGE_TOL = 1e-8  # gate on the group average: self-adjoint, eigenvalues in {0, 1}
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -45,6 +54,62 @@ class ProjectiveRep:
 
     def matrix(self, g: int) -> np.ndarray:
         return self.matrices[g]
+
+    def group_average(self) -> np.ndarray:
+        """The d^2 x d^2 matrix of E(X) = |G|^-1 sum_g pi(g) X pi(g)* acting
+        on row-major vec(X): sum_g pi(g) (x) conj(pi(g)) / |G|."""
+        n, d = self.matrices.shape[0], self.dim
+        flat = self.matrices.reshape(n, d * d)
+        # (flat.T @ flat.conj())[(i, k), (j, l)] = sum_g pi(g)[i, k] conj(pi(g)[j, l])
+        e = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+        return e.reshape(d * d, d * d) / n
+
+    def commutant(self) -> OperatorSubspace:
+        """pi(G)', the range of the group average, computed once per rep.
+
+        E is an orthogonal projection for every projective unitary family,
+        so its eigenvalues are 0 or 1 and the cut sits at 1/2.  A family for
+        which E is not self-adjoint, has an eigenvalue off {0, 1}, or keeps a
+        rank other than trace E = |G|^-1 sum_g |tr pi(g)|^2 is not projective
+        unitary, and raises NotProjectiveError.
+        """
+        return self._commutant
+
+    @cached_property
+    def _commutant(self) -> OperatorSubspace:
+        d = self.dim
+        e = self.group_average()
+        defect = float(np.abs(e - e.conj().T).max())
+        w, v = np.linalg.eigh(e)
+        off = float(np.minimum(np.abs(w), np.abs(w - 1.0)).max())
+        if defect > AVERAGE_TOL or off > AVERAGE_TOL:
+            raise NotProjectiveError(
+                f"group average of {self.label} is not an orthogonal projection "
+                f"(self-adjoint defect {defect:.3e}, eigenvalue {off:.3e} off "
+                f"{{0, 1}}); the family is not projective unitary"
+            )
+        keep = w > 0.5
+        traces = np.trace(self.matrices, axis1=1, axis2=2)
+        expected = float(np.sum(np.abs(traces) ** 2)) / self.group.order
+        if int(keep.sum()) != round(expected):
+            raise NotProjectiveError(
+                f"group average of {self.label} keeps {int(keep.sum())} dimensions "
+                f"but its trace is {expected:.6f}"
+            )
+        return OperatorSubspace(v[:, keep].T.reshape(-1, d, d))
+
+    def algebra(self, rank_tol: float = RANK_TOL) -> OperatorSubspace:
+        """pi(G)'', the span of the image: a projective unitary family is
+        closed under products and adjoints up to phases."""
+        return OperatorSubspace.from_matrices(self.matrices, rank_tol=rank_tol)
+
+    def center(self, rank_tol: float = RANK_TOL) -> OperatorSubspace:
+        """pi(G)'' intersected with pi(G)', the span of E(pi(h))."""
+        n, d = self.matrices.shape[0], self.dim
+        q = self.commutant().basis.reshape(-1, d * d)
+        flat = self.matrices.reshape(n, d * d)
+        images = (flat @ q.conj().T) @ q  # E(pi(h)) through the commutant's HS basis
+        return OperatorSubspace.from_matrices(images.reshape(n, d, d), rank_tol=rank_tol)
 
     def __repr__(self):
         return (f"ProjectiveRep({self.label!r}, group={self.group.label!r}, "
@@ -150,10 +215,15 @@ def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multip
     d = mats.shape[1]
     cay = group.cayley
     table = np.zeros((n, n), dtype=complex)
+    # one set of (n, d, d) buffers for all g: fresh temporaries of this size
+    # per g cost more in page faults than in arithmetic
+    prods = np.empty_like(mats)
+    targets = np.empty_like(mats)
+    magnitudes = np.empty(mats.shape)
     for g in range(n):
-        prods = mats[g] @ mats                     # (n, d, d)
-        targets = mats[cay[g]]
-        scalars = np.einsum("hji,hji->h", targets.conj(), prods) / d
+        np.matmul(mats[g], mats, out=prods)
+        np.take(mats, cay[g], axis=0, out=targets)
+        scalars = np.vecdot(targets.reshape(n, d * d), prods.reshape(n, d * d)) / d
         moduli = np.abs(scalars)
         if np.any(np.abs(moduli - 1.0) > 1e-6):
             h = int(np.abs(moduli - 1.0).argmax())
@@ -161,8 +231,10 @@ def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multip
                 f"composition at pair ({g},{h}) is proportional with |scalar|="
                 f"{moduli[h]:.6f}, not unit modulus"
             )
-        scalars = scalars / moduli
-        resid = np.abs(prods - scalars[:, None, None] * targets).max(axis=(1, 2))
+        scalars /= moduli
+        targets *= scalars[:, None, None]
+        prods -= targets
+        resid = np.abs(prods, out=magnitudes).max(axis=(1, 2))
         if resid.max() > tol:
             h = int(resid.argmax())
             raise NotProjectiveError(

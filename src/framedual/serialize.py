@@ -35,7 +35,14 @@ from .groups import (
     heisenberg_multiplier,
     trivial_multiplier,
 )
-from .reps import ProjectiveRep, RepVerification, character_subrep, left_regular, right_regular
+from .reps import (
+    ProjectiveRep,
+    RepVerification,
+    character_subrep,
+    left_regular,
+    right_regular,
+    verify_rep,
+)
 from .vonneumann import OperatorSubspace
 
 
@@ -285,8 +292,26 @@ def parse_lattice_spec(spec) -> GaborLattice:
         parts = list(spec)
     if len(parts) != 3:
         raise InvalidParameterError(f"lattice spec needs three values, got {spec!r}")
-    n, a, b = (int(p) for p in parts)
+    try:
+        n, a, b = (int(p) for p in parts)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot parse lattice spec {spec!r}: {exc}") from exc
     return GaborLattice(n, a, b)
+
+
+def _checked_custom_rep(doc) -> ProjectiveRep:
+    """A representation bundle that must be projective unitary: the commutant
+    and algebra routes are valid only for such families."""
+    rep = rep_from_json(doc)
+    report = verify_rep(rep)
+    if not report.passed:
+        raise InvalidParameterError(
+            f"bundle {rep.label!r} is not a projective unitary representation: "
+            f"unitarity {report.unitarity_residual:.3e}, identity "
+            f"{report.identity_residual:.3e}, composition "
+            f"{report.composition_residual:.3e} (tolerance {report.tolerance:.1e})"
+        )
+    return rep
 
 
 def resolve_rep_spec(doc: dict) -> ProjectiveRep:
@@ -311,7 +336,7 @@ def resolve_rep_spec(doc: dict) -> ProjectiveRep:
     if kind == "character":
         return character_subrep(int(doc["n"]), doc["freqs"])
     if kind == "custom":
-        return rep_from_json(doc["rep"])
+        return _checked_custom_rep(doc["rep"])
     raise InvalidParameterError(f"unknown representation kind {kind!r}")
 
 
@@ -340,7 +365,7 @@ def resolve_pair_spec(doc: dict):
         return pi, sigma, (f"gabor[{lattice.n};{lattice.a},{lattice.b}]"
                            f"/adjoint[{adj.n};{adj.a},{adj.b}]")
     if kind == "custom":
-        pi = rep_from_json(doc["pi"])
-        sigma = rep_from_json(doc["sigma"])
+        pi = _checked_custom_rep(doc["pi"])
+        sigma = _checked_custom_rep(doc["sigma"])
         return pi, sigma, f"custom[{pi.label}/{sigma.label}]"
     raise InvalidParameterError(f"unknown pair kind {kind!r}")

@@ -1,9 +1,17 @@
 """Finite-dimensional von Neumann algebra calculus on matrix spaces.
 
 Operator subspaces are stored as stacks of d x d matrices orthonormal under
-the Hilbert-Schmidt inner product <X, Y> = tr(Y* X).  Commutants are computed
-exactly (up to a rank cut) as null spaces of stacked Sylvester maps
-X -> U X - X U over the d^2-dimensional matrix space.
+the Hilbert-Schmidt inner product <X, Y> = tr(Y* X).
+
+Two routes lead to commutants.  The operator spaces of a projective unitary
+representation come from its group structure (ProjectiveRep.commutant,
+.algebra and .center): the commutant is the range of the group average, the
+generated algebra the span of the image.  The functions here serve arbitrary
+operator families: commutant solves the null space of the stacked Sylvester
+maps X -> U X - X U over the d^2-dimensional matrix space, and
+double_commutant applies it twice.  Its cost grows like (number of
+generators) * d^6, and the tests use it as the independent oracle for the
+representation route.
 """
 
 from __future__ import annotations

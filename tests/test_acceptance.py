@@ -32,7 +32,6 @@ from framedual import (
     trivial_multiplier,
 )
 from framedual.duality import adversarial_vectors, is_commuting_pair
-from framedual.frames import commutant_of
 from framedual.linalg import dft_matrix, random_complex_vector, substream
 from framedual.vonneumann import commutant, double_commutant, operator_subspace_residual
 
@@ -159,7 +158,7 @@ def test_criterion_5_dual_route_agreement():
     disagreements = 0
     total = 0
     for rep_idx, (label, rep) in enumerate(_criterion5_reps()):
-        comm = commutant_of(rep, RANK_TOL)
+        comm = rep.commutant()
         for i in range(500):
             rng = substream(500, rep_idx * 1000 + i)
             x = random_complex_vector(rng, rep.dim)

@@ -172,3 +172,49 @@ def test_reports_identical_across_runs(tmp_path):
     assert main([*args, "--output", str(out1)]) == 0
     assert main([*args, "--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rep", "character", "--N", "8", "--freqs", "1,x", "--vector", "1,0"],
+    ["--rep", "gabor", "--lattice", "4,x,2", "--vector", "1,0,0,0"],
+])
+def test_unparseable_list_flags_exit_2(capsys, argv):
+    assert main(["classify", *argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [{"n": "abc"}, {"n": 2.5}, {"jobs": True},
+                                       {"pair": "nonsense"}, {"func": "x"}, ["n"]])
+def test_config_values_type_checked_exit_2(tmp_path, capsys, overrides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code = main(["sweep", "--pair", "regular", "--group", "Z4", "--config", str(cfg)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unreadable_config_exit_2(tmp_path, capsys):
+    code = main(["sweep", "--pair", "regular", "--group", "Z4", "--config", str(tmp_path)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_non_projective_custom_bundle_exit_2(tmp_path, capsys):
+    from framedual import left_regular, trivial_multiplier
+
+    g = cyclic_group(3)
+    bundle = serialize.rep_to_json(left_regular(g, trivial_multiplier(g)))
+    # pi(1) becomes the transposition (0 1): unitary, but pi(1) pi(1) is no
+    # scalar multiple of pi(2)
+    swap = np.eye(3)[[1, 0, 2]]
+    bundle["matrices"][1] = serialize.matrix_to_json(swap)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["commutant", "--rep", "custom", "--rep-json", str(bad)]) == 2
+    assert main(["certify-pair", "--pair", "custom", "--pi-json", str(bad),
+                 "--sigma-json", str(bad)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # validate still reports the failing bundle as an inconsistency
+    code, text = run(tmp_path, "validate", "--rep-json", str(bad))
+    assert code == 1
+    assert json.loads(text)["result"]["representation"]["passed"] is False

@@ -24,7 +24,6 @@ from framedual import (
     pi_weakly_equivalent,
     trivial_multiplier,
 )
-from framedual.frames import commutant_of, theta_range
 from framedual.linalg import (
     dft_matrix,
     random_complex_vector,
@@ -210,7 +209,7 @@ def test_pi_predicates_on_equal_vectors():
 def test_pi_weak_equivalence_under_invertible_commutant_element():
     mu = heisenberg_multiplier(2)
     lam = left_regular(mu.group, mu)
-    comm = commutant_of(lam)
+    comm = lam.commutant()
     rng = substream(97, 0)
     for _ in range(10):
         x = random_complex_vector(rng, 4)
@@ -226,7 +225,7 @@ def test_pi_predicates_route_agreement_random():
     reps = [lam_of(4), left_regular(heisenberg_multiplier(2).group,
                                     heisenberg_multiplier(2))]
     for rep in reps:
-        comm = commutant_of(rep)
+        comm = rep.commutant()
         rng = substream(101, rep.dim)
         for _ in range(100):
             x = random_complex_vector(rng, rep.dim)
@@ -348,7 +347,7 @@ def test_witness_perp_to_commutant_orbit_of_target():
     f = dft_matrix(4)
     xi = f[:, :2] @ np.array([1.0, 2.0], dtype=complex)  # deficient analysis range
     x = orthogonal_range_witness(lam, xi, chi(4, 0))
-    comm = commutant_of(lam)
+    comm = lam.commutant()
     overlaps = np.abs(np.array([np.vdot(b @ xi, x) for b in comm.basis]))
     assert overlaps.max() < 1e-10
 
