@@ -35,11 +35,13 @@ from .errors import (
 )
 from .frames import (
     AnalysisOperator,
+    BlockClassification,
     DilationResult,
     FrameClassification,
     analysis_op,
     bessel_parameterize,
     classify,
+    classify_block,
     dilate_to_complete,
     frame_operator,
     gram_matrix,

@@ -14,7 +14,8 @@ Subcommands
 Reports are JSON (CSV only for sweep summaries) and embed the tool version,
 the effective configuration, the seed, and all tolerances, so any run can be
 reproduced byte for byte.  Exit codes: 0 all checks pass, 1 a mathematical
-inconsistency or counterexample was found, 2 invalid input or configuration.
+inconsistency or counterexample was found, 2 invalid input or configuration,
+3 an internal error (a fault of the program; the traceback goes to stderr).
 
 Examples:
     framedual sweep --pair regular --group Z12 --multiplier trivial --n 200 --seed 7
@@ -30,6 +31,7 @@ import io
 import json
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .reps import verify_rep
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -440,13 +443,17 @@ def main(argv=None) -> int:
         _apply_config(parser, args)
         code = args.func(args)
     except (InvalidParameterError, InvalidPairError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"framedual: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RouteDisagreementError, ConstructionFailureError, NotProjectiveError,
             NoWitnessError, ParameterizationError, FrameDualError) as exc:
         print(f"framedual: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except Exception:  # neither bad input nor a counterexample: a fault of the program
+        traceback.print_exc()
+        print("framedual: internal error", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = time.perf_counter() - started
     print(f"framedual: {args.command} finished in {elapsed:.3f}s", file=sys.stderr)
     return code

@@ -22,12 +22,13 @@ from .frames import (
     FLAG_TOL,
     FrameClassification,
     classify,
+    classify_block,
     gram_matrix,
     parseval_normalize,
 )
 from .gabor import GaborLattice, adjoint_lattice, gabor_rep
 from .groups import FiniteGroup, Multiplier
-from .linalg import RANK_TOL, random_complex_vector, substream
+from .linalg import RANK_TOL, random_complex_block, random_complex_vector, substream
 from .reps import ProjectiveRep, left_regular, right_regular, subrepresentation
 from .vonneumann import operator_subspace_residual
 
@@ -39,6 +40,10 @@ ALL_CLAUSES = ("frame_sequence", "frame_riesz", "parseval_orthonormal")
 # search/sweep phases disjoint for one and the same seed.
 _FRAME_SEARCH_BASE = 1_000_000
 _RIESZ_SEARCH_BASE = 2_000_000
+
+# Vectors a sweep classifies together.  Larger blocks gain little, and one
+# block for a whole 3000-draw sweep doubles the process's peak memory.
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,13 @@ def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
     x = np.asarray(xi, dtype=complex).reshape(-1)
     pc = classify(pi, x, rank_tol, flag_tol)
     sc = classify(sigma, x, rank_tol, flag_tol)
+    results = _clause_results(pc, sc, clauses)
+    return DualityVerdict(x, pc, sc, results, all(results.values()))
+
+
+def _clause_results(pc, sc, clauses: tuple[str, ...]) -> dict:
+    """The clause comparisons of verify_duality, for one vector's
+    FrameClassifications (bools) or a block's BlockClassifications (arrays)."""
     results = {}
     if "frame_sequence" in clauses:
         results["frame_sequence"] = pc.is_frame_sequence == sc.is_frame_sequence
@@ -223,8 +235,8 @@ def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
         results["frame_riesz"] = pc.is_complete_frame == sc.is_riesz_sequence
     if "parseval_orthonormal" in clauses:
         results["parseval_orthonormal"] = \
-            (pc.is_complete_frame and pc.is_parseval) == sc.is_orthonormal
-    return DualityVerdict(x, pc, sc, results, all(results.values()))
+            (pc.is_complete_frame & pc.is_parseval) == sc.is_orthonormal
+    return results
 
 
 def adversarial_vectors(pi: ProjectiveRep, seed: int = 0,
@@ -258,7 +270,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
                   flag_tol: float = FLAG_TOL, pair_tol: float = PAIR_TOL,
                   jobs: int = 1, include_adversarial: bool = True,
                   label: str = "") -> SweepReport:
-    """Run verify_duality over seeded random draws plus the adversarial set.
+    """Check the duality clauses on seeded random draws plus the adversarial
+    set.
 
     The pair is certified once up front; a pair that is not even commuting
     raises InvalidPairError.  Clause selection follows what is actually a
@@ -268,9 +281,13 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     pairs away from critical density, where a Parseval orbit on one side
     meets an orthogonal but not orthonormal orbit on the other; and only the
     frame-sequence clause for commuting pairs that are not dual.  Draw i
-    always uses substream (seed, i).  The vectors run serially: ``jobs`` is
-    accepted and ignored, so reports are identical for any jobs count.
+    always uses substream (seed, i).  Vectors are classified in blocks of
+    SWEEP_BLOCK under both representations; verify_duality runs only on an
+    inconsistent vector, to build its counterexample.  ``jobs`` is accepted
+    and ignored, so reports are identical for any jobs count.
     """
+    if n_vectors < 0:
+        raise InvalidParameterError(f"number of random draws must be >= 0, got {n_vectors}")
     certificate = certify_dual_pair(pi, sigma, seed, tol=pair_tol,
                                     rank_tol=rank_tol, flag_tol=flag_tol)
     if not certificate.commuting.is_pair:
@@ -284,50 +301,45 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     else:
         clauses = ("frame_sequence", "frame_riesz")
 
-    tasks: list[tuple[str, np.ndarray]] = [
-        (f"random[{i}]", random_complex_vector(substream(seed, i), pi.dim))
-        for i in range(n_vectors)
-    ]
-    n_adversarial = 0
-    if include_adversarial:
-        adv = adversarial_vectors(pi, seed, rank_tol=rank_tol)
-        n_adversarial = len(adv)
-        tasks.extend(adv)
+    adversarial = adversarial_vectors(pi, seed, rank_tol=rank_tol) if include_adversarial else []
 
-    def run_one(task):
-        source, vec = task
-        if np.linalg.norm(vec) == 0.0:
-            return source, None, 0.0
-        verdict = verify_duality(pi, sigma, vec, rank_tol, flag_tol, clauses,
-                                 check_pair=False)
-        defect = 0.0
-        if "parseval_orthonormal" in clauses and \
-                verdict.pi_classification.is_complete_frame and \
-                verdict.pi_classification.is_parseval:
-            gram = gram_matrix(sigma, vec)
-            defect = float(np.abs(gram - np.eye(sigma.group.order)).max())
-        return source, verdict, defect
+    def blocks():
+        for start in range(0, n_vectors, SWEEP_BLOCK):
+            rows = range(start, min(start + SWEEP_BLOCK, n_vectors))
+            yield [f"random[{i}]" for i in rows], random_complex_block(seed, rows, pi.dim)
+        for start in range(0, len(adversarial), SWEEP_BLOCK):
+            chunk = adversarial[start:start + SWEEP_BLOCK]
+            yield [source for source, _ in chunk], np.stack([vec for _, vec in chunk])
 
     n_skipped = n_consistent = n_inconsistent = 0
     gram_defect = 0.0
     counterexamples: list[SweepCounterexample] = []
-    for source, verdict, defect in map(run_one, tasks):
-        if verdict is None:
-            n_skipped += 1
-            continue
-        gram_defect = max(gram_defect, defect)
-        if verdict.theorem_consistent:
-            n_consistent += 1
-        else:
-            n_inconsistent += 1
-            counterexamples.append(SweepCounterexample(source, verdict.vector, verdict))
+    for sources, block in blocks():
+        nonzero = np.linalg.norm(block, axis=1) != 0.0
+        n_skipped += int(np.count_nonzero(~nonzero))
+        block = block[nonzero]
+        sources = [source for source, keep in zip(sources, nonzero) if keep]
+        pc = classify_block(pi, block, rank_tol, flag_tol)
+        sc = classify_block(sigma, block, rank_tol, flag_tol)
+        consistent = np.all(list(_clause_results(pc, sc, clauses).values()), axis=0)
+        n_consistent += int(np.count_nonzero(consistent))
+        n_inconsistent += int(np.count_nonzero(~consistent))
+        if "parseval_orthonormal" in clauses:
+            for k in np.flatnonzero(pc.is_complete_frame & pc.is_parseval):
+                gram = gram_matrix(sigma, block[k])
+                gram_defect = max(gram_defect,
+                                  float(np.abs(gram - np.eye(sigma.group.order)).max()))
+        for k in np.flatnonzero(~consistent):
+            verdict = verify_duality(pi, sigma, block[k], rank_tol, flag_tol, clauses,
+                                     check_pair=False)
+            counterexamples.append(SweepCounterexample(sources[k], verdict.vector, verdict))
 
     return SweepReport(
         label=label or f"{pi.label} / {sigma.label}",
         seed=seed,
         clauses=clauses,
         n_random=n_vectors,
-        n_adversarial=n_adversarial,
+        n_adversarial=len(adversarial),
         n_skipped=n_skipped,
         n_consistent=n_consistent,
         n_inconsistent=n_inconsistent,

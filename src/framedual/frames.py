@@ -9,6 +9,14 @@ coefficient sequence (<y, pi(g) xi>)_g, i.e. its matrix has row g equal to
 the conjugate of pi(g) xi.  The frame operator is S = Theta* Theta (dim x
 dim) and the Gram matrix is Theta Theta* (|G| x |G|).
 
+Classification reads its flags from one eigendecomposition of S.  S and the
+Gram matrix have the same nonzero spectrum, so the dimension of the orbit
+span decides both completeness (span = dim) and the Riesz property (span =
+|G|, impossible when |G| > dim).  The orthonormal flag stays the entrywise
+Gram test at the flag tolerance, run only on Riesz orbits.  classify_block
+does this for a block of vectors with one batched LAPACK call; classify is
+a block of one.
+
 Two predicates are computed along two independent routes each: once through
 ranges of analysis operators and once through commutant orbits.  The two
 routes must agree; a disagreement raises instead of returning, because it
@@ -105,37 +113,78 @@ def gram_matrix(rep: ProjectiveRep, xi) -> np.ndarray:
     return orbit.conj() @ orbit.T
 
 
-def classify(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL,
-             flag_tol: float = FLAG_TOL) -> FrameClassification:
-    """Classify the orbit of xi: frame bounds on its span, completeness,
-    Parseval property, Riesz and orthonormal sequence flags."""
-    orbit = _orbit(rep, xi)
-    n = orbit.shape[0]
+@dataclass(frozen=True)
+class BlockClassification:
+    """FrameClassification of a block of vectors, one array entry per row."""
 
-    s_evals, _ = hermitian_eig(frame_operator(rep, xi))
-    lam_max = max(float(s_evals[-1]), 0.0)
-    nonzero = s_evals[s_evals > rank_tol * lam_max] if lam_max > 0 else s_evals[:0]
-    span_dim = int(nonzero.size)
-    lower = float(nonzero[0]) if span_dim else 0.0
-    upper = float(nonzero[-1]) if span_dim else 0.0
+    orbit_span_dim: np.ndarray
+    lower_bound: np.ndarray
+    upper_bound: np.ndarray
+    is_complete_frame: np.ndarray
+    is_frame_sequence: np.ndarray
+    is_parseval: np.ndarray
+    is_riesz_sequence: np.ndarray
+    is_orthonormal: np.ndarray
+    rank_tolerance: float
+    flag_tolerance: float
 
-    is_frame_sequence = bool(np.linalg.norm(orbit[rep.group.identity]) > 0.0)
-    is_complete = span_dim == rep.dim and is_frame_sequence
-    is_parseval = is_frame_sequence and span_dim > 0 and \
-        abs(lower - 1.0) <= flag_tol and abs(upper - 1.0) <= flag_tol
+    def row(self, k: int) -> FrameClassification:
+        return FrameClassification(
+            orbit_span_dim=int(self.orbit_span_dim[k]),
+            lower_bound=float(self.lower_bound[k]),
+            upper_bound=float(self.upper_bound[k]),
+            is_complete_frame=bool(self.is_complete_frame[k]),
+            is_frame_sequence=bool(self.is_frame_sequence[k]),
+            is_parseval=bool(self.is_parseval[k]),
+            is_riesz_sequence=bool(self.is_riesz_sequence[k]),
+            is_orthonormal=bool(self.is_orthonormal[k]),
+            rank_tolerance=self.rank_tolerance,
+            flag_tolerance=self.flag_tolerance,
+        )
 
-    gram = gram_matrix(rep, xi)
-    g_evals, _ = hermitian_eig(gram)
-    g_max = max(float(g_evals[-1]), 0.0)
-    gram_rank = int(np.count_nonzero(g_evals > rank_tol * g_max)) if g_max > 0 else 0
-    is_riesz = gram_rank == n
-    is_orthonormal = bool(np.abs(gram - np.eye(n)).max() < flag_tol)
 
-    return FrameClassification(
+def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
+                   flag_tol: float = FLAG_TOL) -> BlockClassification:
+    """Classify the orbit of every row of xs (shape (k, dim)) from one
+    eigendecomposition of its frame operator.
+
+    S = Theta* Theta and the Gram matrix Theta Theta* have the same nonzero
+    spectrum, so an orbit is a Riesz sequence exactly when its span has
+    dimension |G|.  The orthonormal flag is the entrywise Gram test at
+    flag_tol, run only on Riesz rows (an orthonormal orbit is Riesz).
+    """
+    x = np.asarray(xs, dtype=complex)
+    if x.ndim != 2 or x.shape[1] != rep.dim:
+        raise InvalidParameterError(
+            f"vector block of shape {x.shape} does not match representation dim {rep.dim}"
+        )
+    # one matrix-vector product per (row, g): the same arithmetic, bit for
+    # bit, as a single vector's orbit rep.matrices @ x
+    orbits = (rep.matrices[None] @ x[:, None, :, None])[..., 0]  # (k, |G|, dim)
+    n, d = rep.group.order, rep.dim
+    w, _ = hermitian_eig(orbits.swapaxes(1, 2) @ orbits.conj())
+    lam_max = np.maximum(w[:, -1], 0.0)
+    nonzero = (w > rank_tol * lam_max[:, None]) & (lam_max > 0.0)[:, None]
+    span_dim = np.count_nonzero(nonzero, axis=1)
+    spans = span_dim > 0
+    rows = np.arange(x.shape[0])
+    lower = np.where(spans, w[rows, np.minimum(d - span_dim, d - 1)], 0.0)
+    upper = np.where(spans, w[:, -1], 0.0)
+
+    is_frame_sequence = np.linalg.norm(orbits[:, rep.group.identity], axis=1) > 0.0
+    is_parseval = is_frame_sequence & spans & \
+        (np.abs(lower - 1.0) <= flag_tol) & (np.abs(upper - 1.0) <= flag_tol)
+    is_riesz = span_dim == n
+    is_orthonormal = np.zeros_like(is_riesz)
+    riesz = orbits[is_riesz]
+    gram = riesz.conj() @ riesz.swapaxes(1, 2)
+    is_orthonormal[is_riesz] = np.abs(gram - np.eye(n)).max(axis=(1, 2)) < flag_tol
+
+    return BlockClassification(
         orbit_span_dim=span_dim,
         lower_bound=lower,
         upper_bound=upper,
-        is_complete_frame=is_complete,
+        is_complete_frame=(span_dim == d) & is_frame_sequence,
         is_frame_sequence=is_frame_sequence,
         is_parseval=is_parseval,
         is_riesz_sequence=is_riesz,
@@ -143,6 +192,15 @@ def classify(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL,
         rank_tolerance=rank_tol,
         flag_tolerance=flag_tol,
     )
+
+
+def classify(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL,
+             flag_tol: float = FLAG_TOL) -> FrameClassification:
+    """Classify the orbit of xi: frame bounds on its span, completeness,
+    Parseval property, Riesz and orthonormal sequence flags (a block of one
+    for classify_block)."""
+    x = np.asarray(xi, dtype=complex).reshape(1, -1)
+    return classify_block(rep, x, rank_tol, flag_tol).row(0)
 
 
 def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -69,12 +69,18 @@ def from_cayley_table(table, label: str = "G") -> FiniteGroup:
     inverses; any violation raises InvalidParameterError naming the first
     offending entry.
     """
-    cay = np.asarray(table, dtype=np.int64)
+    try:
+        cay = np.asarray(table)
+    except ValueError as exc:  # ragged rows
+        raise InvalidParameterError(f"Cayley table is not a square array: {exc}") from exc
     if cay.ndim != 2 or cay.shape[0] != cay.shape[1]:
         raise InvalidParameterError("Cayley table must be square")
     n = cay.shape[0]
     if n == 0:
         raise InvalidParameterError("a group needs at least one element")
+    if cay.dtype.kind not in "iu":
+        raise InvalidParameterError(f"Cayley entries must be integers, not {cay.dtype}")
+    cay = cay.astype(np.int64)
     if cay.min() < 0 or cay.max() >= n:
         raise InvalidParameterError("Cayley entries must be element indices 0..n-1")
 

@@ -43,23 +43,31 @@ def as_vector(v) -> np.ndarray:
 
 
 def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of a stack of them.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v`` so
-    that ``a = v @ diag(w) @ v.conj().T``.  Inputs whose Hermitian defect
-    exceeds ``tol * ||a||`` are rejected; the defect that remains is folded
-    away by symmetrizing before calling LAPACK.
+    that ``a = v @ diag(w) @ v.conj().T``, matrix by matrix for a stack of
+    shape ``(..., n, n)``.  A matrix whose Hermitian defect exceeds
+    ``tol * ||a||`` is rejected; the defect that remains is folded away by
+    symmetrizing before one LAPACK call over the whole stack.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InvalidParameterError("hermitian_eig needs a square matrix")
-    scale = np.linalg.norm(m)
-    defect = np.linalg.norm(m - m.conj().T)
-    if defect > tol * max(scale, 1.0):
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InvalidParameterError("hermitian_eig needs a square matrix or a stack of them")
+    if m.size and not np.all(np.isfinite(m)):
+        raise InvalidParameterError("matrix entries must be finite")
+    adjoint = m.conj().swapaxes(-1, -2)
+    scale = np.linalg.norm(m, axis=(-2, -1))
+    defect = np.linalg.norm(m - adjoint, axis=(-2, -1))
+    bad = defect > tol * np.maximum(scale, 1.0)
+    if np.any(bad):
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" {first}" if first else ""
         raise InvalidParameterError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e} * scale"
+            f"matrix{where} is not Hermitian: defect "
+            f"{defect[first]:.3e} exceeds {tol:.1e} * scale"
         )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = np.linalg.eigh((m + adjoint) / 2.0)
     return w, v
 
 
@@ -207,6 +215,29 @@ def substream(seed: int, index: int) -> np.random.Generator:
 def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     """Standard complex Gaussian vector (unit component variance)."""
     return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+
+
+def random_complex_block(seed: int, indices, n: int) -> np.ndarray:
+    """Row k is ``random_complex_vector(substream(seed, indices[k]), n)``.
+
+    One Philox generator is re-keyed for every row instead of building a
+    fresh one per draw, which costs more than the draw itself.
+    """
+    indices = list(indices)
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    state = bits.state
+    real = np.empty((len(indices), n))
+    imag = np.empty((len(indices), n))
+    for k, index in enumerate(indices):
+        state["state"]["key"] = np.array([seed & _U64, index & _U64], dtype=np.uint64)
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        bits.state = state
+        rng.standard_normal(out=real[k])
+        rng.standard_normal(out=imag[k])
+    return (real + 1j * imag) / np.sqrt(2.0)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -133,28 +133,46 @@ def verify_rep(rep: ProjectiveRep, tol: float = REP_TOL) -> RepVerification:
     """Check that every matrix is unitary, pi(e) = I, and that
     pi(g) pi(h) = mu(g, h) pi(gh) holds for all pairs."""
     mats = rep.matrices
-    n, d = mats.shape[0], rep.dim
-    eye = np.eye(d)
+    eye = np.eye(rep.dim)
 
     gram = np.einsum("gji,gjk->gik", mats.conj(), mats)
     unit_resid = float(np.abs(gram - eye[None]).max())
 
     id_resid = float(np.abs(mats[rep.group.identity] - eye).max())
 
-    cay = rep.group.cayley
     table = rep.multiplier.table
     comp_resid = 0.0
     worst_pair = None
-    for g in range(n):
-        prods = mats[g] @ mats                       # (n, d, d)
-        targets = table[g][:, None, None] * mats[cay[g]]
-        resid = np.abs(prods - targets).max(axis=(1, 2))
+    for g, _, resid in _twisted_compositions(mats, rep.group, lambda g, p, t: table[g]):
         h = int(resid.argmax())
         if resid[h] > comp_resid:
             comp_resid = float(resid[h])
             worst_pair = (g, h)
     passed = unit_resid <= tol and id_resid <= tol and comp_resid <= tol
     return RepVerification(passed, unit_resid, id_resid, comp_resid, worst_pair, tol)
+
+
+def _twisted_compositions(mats: np.ndarray, group: FiniteGroup, scalars_for):
+    """Compare pi(g) pi(h) with s(g, h) pi(gh) for every pair.
+
+    Yields (g, s(g, .), residuals) per g, where residuals[h] is the largest
+    entry of |pi(g) pi(h) - s(g, h) pi(gh)| and the row s(g, .) is
+    scalars_for(g, prods, targets) on prods[h] = pi(g) pi(h) and
+    targets[h] = pi(gh).  One set of (|G|, d, d) buffers serves all g: fresh
+    temporaries of this size per g cost more in page faults than in
+    arithmetic.
+    """
+    cay = group.cayley
+    prods = np.empty_like(mats)
+    targets = np.empty_like(mats)
+    magnitudes = np.empty(mats.shape)
+    for g in range(group.order):
+        np.matmul(mats[g], mats, out=prods)
+        np.take(mats, cay[g], axis=0, out=targets)
+        scalars = scalars_for(g, prods, targets)
+        targets *= scalars[:, None, None]
+        prods -= targets
+        yield g, scalars, np.abs(prods, out=magnitudes).max(axis=(1, 2))
 
 
 def _require_valid(group: FiniteGroup, mu: Multiplier) -> None:
@@ -213,16 +231,8 @@ def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multip
     if mats.ndim != 3 or mats.shape[0] != n or mats.shape[1] != mats.shape[2]:
         raise InvalidParameterError("matrix stack does not fit the group")
     d = mats.shape[1]
-    cay = group.cayley
-    table = np.zeros((n, n), dtype=complex)
-    # one set of (n, d, d) buffers for all g: fresh temporaries of this size
-    # per g cost more in page faults than in arithmetic
-    prods = np.empty_like(mats)
-    targets = np.empty_like(mats)
-    magnitudes = np.empty(mats.shape)
-    for g in range(n):
-        np.matmul(mats[g], mats, out=prods)
-        np.take(mats, cay[g], axis=0, out=targets)
+
+    def unit_scalars(g, prods, targets):
         scalars = np.vecdot(targets.reshape(n, d * d), prods.reshape(n, d * d)) / d
         moduli = np.abs(scalars)
         if np.any(np.abs(moduli - 1.0) > 1e-6):
@@ -231,10 +241,10 @@ def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multip
                 f"composition at pair ({g},{h}) is proportional with |scalar|="
                 f"{moduli[h]:.6f}, not unit modulus"
             )
-        scalars /= moduli
-        targets *= scalars[:, None, None]
-        prods -= targets
-        resid = np.abs(prods, out=magnitudes).max(axis=(1, 2))
+        return scalars / moduli
+
+    table = np.zeros((n, n), dtype=complex)
+    for g, scalars, resid in _twisted_compositions(mats, group, unit_scalars):
         if resid.max() > tol:
             h = int(resid.argmax())
             raise NotProjectiveError(

@@ -9,6 +9,7 @@ travel as {"order", "cayley", "label"} and are fully re-validated on ingest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict
 
 import numpy as np
@@ -46,6 +47,23 @@ from .reps import (
 from .vonneumann import OperatorSubspace
 
 
+def _reader(fn):
+    """Report a document of the wrong shape (a number where a list belongs,
+    a string where a number does) as InvalidParameterError, like any other
+    malformed input, instead of the Python error it happens to hit."""
+    @functools.wraps(fn)
+    def read(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except InvalidParameterError:
+            raise
+        except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+            raise InvalidParameterError(
+                f"malformed document for {fn.__name__}: {type(exc).__name__}: {exc}"
+            ) from exc
+    return read
+
+
 def complex_to_pair(z) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
@@ -63,6 +81,7 @@ def vector_to_json(v) -> list[list[float]]:
     return [complex_to_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
+@_reader
 def vector_from_json(items) -> np.ndarray:
     return np.array([pair_to_complex(x) for x in items], dtype=complex)
 
@@ -78,6 +97,7 @@ def matrix_to_json(m) -> dict:
     }
 
 
+@_reader
 def matrix_from_json(doc) -> np.ndarray:
     rows, cols = int(doc["rows"]), int(doc["cols"])
     entries = [pair_to_complex(x) for x in doc["entries"]]
@@ -94,6 +114,7 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
+@_reader
 def group_from_json(doc) -> FiniteGroup:
     return from_cayley_table(doc["cayley"], label=str(doc.get("label", "G")))
 
@@ -106,6 +127,7 @@ def multiplier_to_json(mu: Multiplier) -> dict:
     }
 
 
+@_reader
 def multiplier_from_json(group: FiniteGroup, doc) -> Multiplier:
     table = np.array(
         [[pair_to_complex(x) for x in row] for row in doc["table"]], dtype=complex
@@ -123,6 +145,7 @@ def rep_to_json(rep: ProjectiveRep) -> dict:
     }
 
 
+@_reader
 def rep_from_json(doc) -> ProjectiveRep:
     group = group_from_json(doc["group"])
     mu = multiplier_from_json(group, doc["multiplier"])

@@ -218,3 +218,43 @@ def test_non_projective_custom_bundle_exit_2(tmp_path, capsys):
     code, text = run(tmp_path, "validate", "--rep-json", str(bad))
     assert code == 1
     assert json.loads(text)["result"]["representation"]["passed"] is False
+
+
+def test_negative_draw_count_exit_2(capsys):
+    assert main(["sweep", "--pair", "regular", "--group", "Z4", "--n", "-3"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_malformed_bundle_structure_exit_2(tmp_path, capsys):
+    from framedual import left_regular, trivial_multiplier
+
+    g = cyclic_group(3)
+    bundle = serialize.rep_to_json(left_regular(g, trivial_multiplier(g)))
+    bundle["matrices"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["validate", "--rep-json", str(bad)]) == 2
+    assert main(["classify", "--rep", "custom", "--rep-json", str(bad),
+                 "--vector", "1,0,0"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cayley", [[[0, 1], [1, "a"]], [[0, 1], [1, None]],
+                                    [[0, 1], [1]], [[0.0, 1.0], [1.0, 0.0]]])
+def test_malformed_cayley_table_exit_2(tmp_path, capsys, cayley):
+    table = tmp_path / "c.json"
+    table.write_text(json.dumps({"cayley": cayley}))
+    assert main(["classify", "--group", f"@{table}", "--vector", "1,0"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unexpected_exception_exit_3(monkeypatch, capsys):
+    import framedual.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a fault of the program")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert main(["classify", "--group", "Z2", "--vector", "1,0"]) == 3
+    err = capsys.readouterr().err
+    assert "ZeroDivisionError" in err and "internal error" in err

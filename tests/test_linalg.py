@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framedual import InvalidParameterError, Subspace, hermitian_eig, psd_power, rank_and_range
 from framedual.linalg import (
     dft_matrix,
+    random_complex_block,
     random_complex_vector,
     random_unitary,
     subspace_equal,
@@ -40,6 +42,35 @@ def test_eig_reconstruction_random():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(InvalidParameterError):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_eig_stack_matches_single_matrices():
+    stack = np.stack([random_hermitian(substream(42, k), 5) for k in range(4)])
+    w, v = hermitian_eig(stack)
+    assert w.shape == (4, 5) and v.shape == (4, 5, 5)
+    for k, a in enumerate(stack):
+        wk, vk = hermitian_eig(a)
+        assert w[k].tobytes() == wk.tobytes()
+        assert v[k].tobytes() == vk.tobytes()
+
+
+def test_eig_stack_checks_every_matrix():
+    stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+    with pytest.raises(InvalidParameterError, match=r"matrix \(1,\)"):
+        hermitian_eig(stack)
+    with pytest.raises(InvalidParameterError):
+        hermitian_eig(np.ones((2, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-2**63, 2**64 - 1), start=st.integers(0, 2**40),
+       count=st.integers(0, 70), d=st.integers(1, 12))
+def test_block_draws_equal_substream_draws(seed, start, count, d):
+    rows = range(start, start + count)
+    block = random_complex_block(seed, rows, d)
+    assert block.shape == (count, d)
+    for k, i in enumerate(rows):
+        assert block[k].tobytes() == random_complex_vector(substream(seed, i), d).tobytes()
 
 
 def test_eig_extremes_are_rayleigh_extrema():

@@ -3,11 +3,10 @@ averaging, checked against the stacked Sylvester oracle of vonneumann."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from framedual import (
     GaborLattice,
-    Multiplier,
     NotProjectiveError,
     ProjectiveRep,
     adjoint_lattice,
@@ -15,7 +14,6 @@ from framedual import (
     character_subrep,
     commutant,
     cyclic_group,
-    direct_product,
     double_commutant,
     gabor_rep,
     heisenberg_multiplier,
@@ -23,8 +21,8 @@ from framedual import (
     make_regular_subpair,
     right_regular,
     trivial_multiplier,
-    validate_multiplier,
 )
+from conftest import random_reps
 from framedual.linalg import dft_matrix, random_unitary, substream
 from framedual.vonneumann import operator_subspace_residual
 
@@ -41,37 +39,6 @@ def assert_matches_oracle(rep):
     ctr, oracle_ctr = rep.center(), center(oracle_alg)
     assert ctr.dim == oracle_ctr.dim
     assert operator_subspace_residual(ctr, oracle_ctr) <= ORACLE_TOL
-
-
-def random_cocycle_rep(orders, ks, betas, side):
-    """Regular rep of Z_{n1} x ... with a random cocycle: a product of
-    bicharacters exp(2 pi i k x_j(g) x_i(h) / gcd(n_i, n_j)), one per pair of
-    factors, times the coboundary of random phases beta (beta(e) = 1)."""
-    group = cyclic_group(orders[0])
-    for n in orders[1:]:
-        group = direct_product(group, cyclic_group(n))
-    coords = np.unravel_index(np.arange(group.order), orders)
-    table = np.ones((group.order, group.order), dtype=complex)
-    pairs = [(i, j) for i in range(len(orders)) for j in range(i + 1, len(orders))]
-    for (i, j), k in zip(pairs, ks):
-        q = np.gcd(orders[i], orders[j])
-        table *= np.exp(2j * np.pi * k * np.outer(coords[j], coords[i]) / q)
-    beta = np.exp(2j * np.pi * np.asarray(betas[:group.order]))
-    beta[group.identity] = 1.0
-    table *= np.outer(beta, beta) / beta[group.cayley]
-    mu = Multiplier(group, table)
-    assert validate_multiplier(mu).passed
-    return (left_regular if side == "left" else right_regular)(group, mu)
-
-
-random_reps = st.builds(
-    random_cocycle_rep,
-    orders=st.lists(st.integers(2, 3), min_size=2, max_size=2)
-    | st.just([2, 2, 2]) | st.just([2, 4]) | st.just([2, 6]),
-    ks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
-    betas=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
-    side=st.sampled_from(["left", "right"]),
-)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
