@@ -70,6 +70,7 @@ from .reps import (
     character_subrep,
     derive_multiplier,
     left_regular,
+    monomial_rep,
     right_regular,
     subrepresentation,
     verify_rep,

@@ -147,6 +147,8 @@ def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
     least as many dimensions as group elements, so that case is reported as
     infeasible by dimension without any sampling.
     """
+    if n_samples < 0:
+        raise InvalidParameterError(f"number of search draws must be >= 0, got {n_samples}")
     check = is_commuting_pair(pi, sigma, tol, rank_tol)
 
     frame_vector = None

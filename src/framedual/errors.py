@@ -10,8 +10,9 @@ class InvalidParameterError(FrameDualError, ValueError):
 
 
 class NotProjectiveError(FrameDualError):
-    """Operator compositions are not scalar multiples of a single target,
-    so no multiplier can be read off."""
+    """Operator compositions are not scalar multiples of a single target
+    (so no multiplier can be read off), or not the multiples a given
+    multiplier prescribes."""
 
 
 class NotInvariantError(FrameDualError):

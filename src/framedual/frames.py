@@ -308,6 +308,8 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     """
     if mode not in ("frame", "parseval"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
+    if max_tries < 0:
+        raise InvalidParameterError(f"number of tries must be >= 0, got {max_tries}")
     x = np.asarray(eta, dtype=complex).reshape(-1)
     if np.linalg.norm(x) == 0.0:
         raise InvalidParameterError("eta must be nonzero")
@@ -430,6 +432,8 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
     y = np.asarray(eta, dtype=complex).reshape(-1)
     if x.size != rep.dim or y.size != rep.dim:
         raise InvalidParameterError("vector lengths do not match representation dim")
+    if max_tries < 0:
+        raise InvalidParameterError(f"number of tries must be >= 0, got {max_tries}")
     if algebra is None:
         algebra = rep.algebra(rank_tol)
     cols = (algebra.basis @ x).T  # (dim, k)

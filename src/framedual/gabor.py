@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .groups import cyclic_group, direct_product
-from .reps import ProjectiveRep, derive_multiplier
+from .groups import Multiplier, cyclic_group, direct_product
+from .reps import ProjectiveRep, monomial_rep
 
 
 @dataclass(frozen=True)
@@ -50,32 +50,24 @@ def modulation(n: int) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
 
 
-def _translation_power(n: int, j: int) -> np.ndarray:
-    t = np.zeros((n, n), dtype=complex)
-    t[np.arange(n), (np.arange(n) - j) % n] = 1.0
-    return t
-
-
-def _modulation_power(n: int, j: int) -> np.ndarray:
-    return np.diag(np.exp(2j * np.pi * j * np.arange(n) / n))
-
-
 def gabor_rep(lattice: GaborLattice) -> ProjectiveRep:
     """Projective representation (m, k) -> M^{am} T^{bk} on C^n.
 
-    The index group is Z_{n/a} x Z_{n/b}; the cocycle is read off the actual
-    operator compositions rather than written down by formula.
+    The index group is Z_{n/a} x Z_{n/b}.  Each M^{am} T^{bk} is monomial:
+    row i holds exp(2 pi i (am) i / n) in column (i - bk) mod n.  The
+    cocycle is written down from T^{bk} M^{am'} = e^{-2 pi i (am')(bk)/n}
+    M^{am'} T^{bk}, so mu((m, k), (m', k')) = exp(-2 pi i ((am')(bk) mod n) / n),
+    and monomial_rep checks every twisted composition in monomial form.
     """
     n, a, b = lattice.n, lattice.a, lattice.b
     qm, qt = n // a, n // b
     group = direct_product(cyclic_group(qm), cyclic_group(qt))
-    mats = np.zeros((qm * qt, n, n), dtype=complex)
-    for m in range(qm):
-        mod = _modulation_power(n, a * m)
-        for k in range(qt):
-            mats[m * qt + k] = mod @ _translation_power(n, b * k)
-    mu = derive_multiplier(mats, group)
-    return ProjectiveRep(group, mu, mats, label=f"gabor[{n};{a},{b}]")
+    m, k = np.divmod(np.arange(qm * qt), qt)
+    i = np.arange(n)
+    perm = (i - b * k[:, None]) % n
+    phase = np.exp(2j * np.pi * (a * m)[:, None] * i / n)
+    mu = Multiplier(group, np.exp(-2j * np.pi * (np.outer(b * k, a * m) % n) / n))
+    return monomial_rep(group, mu, perm, phase, label=f"gabor[{n};{a},{b}]")
 
 
 def adjoint_lattice(lattice: GaborLattice) -> GaborLattice:

@@ -218,8 +218,74 @@ def right_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
     return ProjectiveRep(group, nu, mats, label=f"rho[{group.label}]")
 
 
+def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
+                 label: str = "pi") -> ProjectiveRep:
+    """Projective representation of monomial unitaries: row i of pi(g) holds
+    the single entry phase[g, i] in column perm[g, i], so
+    (pi(g) x)[i] = phase[g, i] x[perm[g, i]].
+
+    The twisted composition is checked in that form for every pair, at
+    O(|G|^2 dim): row i of pi(g) pi(h) holds phase[g, i] phase[h, perm[g, i]]
+    in column perm[h, perm[g, i]], which must be column perm[gh, i] exactly,
+    with value mu(g, h) phase[gh, i] within REP_TOL.  A row of perm that is
+    not a permutation, a phase off the unit circle or a failed composition
+    raises NotProjectiveError; mu is then validated as a cocycle at
+    UNIT_TOL, as left_regular does.  Only then is the dense stack built.
+    """
+    if not (mu.group == group):
+        raise InvalidParameterError("multiplier is defined on a different group")
+    n = group.order
+    p = np.asarray(perm)
+    ph = np.asarray(phase, dtype=complex)
+    if p.ndim != 2 or p.shape[0] != n or ph.shape != p.shape or p.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"perm {p.shape} ({p.dtype}) and phase {ph.shape} must be integer and "
+            f"complex arrays of one shape (order {n}, dim)"
+        )
+    d = p.shape[1]
+    if d < 1:
+        raise InvalidParameterError("representation dimension must be >= 1")
+    if p.min() < 0 or p.max() >= d:
+        raise InvalidParameterError(f"perm entries must be column indices 0..{d - 1}")
+
+    not_perm = np.flatnonzero((np.sort(p, axis=1) != np.arange(d)).any(axis=1))
+    if not_perm.size:
+        g = int(not_perm[0])
+        raise NotProjectiveError(f"perm[{g}] is not a permutation; pi({g}) is not unitary")
+    modulus_off = np.abs(np.abs(ph) - 1.0)
+    if modulus_off.max() > REP_TOL:
+        g, i = np.unravel_index(int(modulus_off.argmax()), ph.shape)
+        raise NotProjectiveError(
+            f"phase[{g}, {i}] has modulus {abs(ph[g, i]):.6f}; pi({g}) is not unitary"
+        )
+
+    cay, table = group.cayley, mu.table
+    for g in range(n):
+        support = p[:, p[g]]  # support[h, i] = perm[h, perm[g, i]]
+        target = p[cay[g]]
+        if not np.array_equal(support, target):
+            h, i = np.argwhere(support != target)[0]
+            raise NotProjectiveError(
+                f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
+                f"entry in column {support[h, i]}, not {target[h, i]}"
+            )
+        resid = np.abs(ph[g] * ph[:, p[g]] - table[g][:, None] * ph[cay[g]])
+        if resid.max() > REP_TOL:
+            h, i = np.unravel_index(int(resid.argmax()), resid.shape)
+            raise NotProjectiveError(
+                f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "
+                f"{resid[h, i]:.3e} in row {i}"
+            )
+    _require_valid(group, mu)
+
+    mats = np.zeros((n, d, d), dtype=complex)
+    mats[np.arange(n)[:, None], np.arange(d), p] = ph
+    return ProjectiveRep(group, mu, mats, label=label)
+
+
 def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multiplier:
-    """Recover the cocycle from operator compositions.
+    """Recover the cocycle from operator compositions, for families whose
+    cocycle is not known in closed form.
 
     For every pair, pi(g) pi(h) must be a scalar multiple of pi(gh); the
     scalar is read off as tr(pi(gh)* pi(g) pi(h)) / dim and renormalized to

@@ -225,6 +225,23 @@ def test_negative_draw_count_exit_2(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_negative_search_count_exit_2(capsys):
+    assert main(["certify-pair", "--group", "Z4", "--n", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "search draws must be >= 0" in err
+    assert main(["certify-pair", "--group", "Z4", "--n", "0"]) == 0
+
+
+def test_negative_tries_count_exit_2(capsys):
+    argv = ["dilate", "--rep", "regular", "--group", "Z8", "--vector", "1,1,0,0,0,0,0,0"]
+    assert main([*argv, "--max-tries", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "tries must be >= 0" in err
+    # zero tries stays valid: a delta already generates a complete frame
+    assert main(["dilate", "--rep", "regular", "--group", "Z8",
+                 "--vector", "1,0,0,0,0,0,0,0", "--max-tries", "0"]) == 0
+
+
 def test_malformed_bundle_structure_exit_2(tmp_path, capsys):
     from framedual import left_regular, trivial_multiplier
 

@@ -104,6 +104,14 @@ def test_certify_regular_pair_z8():
     assert certify_dual_pair(lam, rho, seed=1).feasible
 
 
+def test_certify_rejects_negative_sample_count(lam_z6, rho_z6):
+    from framedual import InvalidParameterError
+    with pytest.raises(InvalidParameterError):
+        certify_dual_pair(lam_z6, rho_z6, n_samples=-1)
+    report = certify_dual_pair(lam_z6, rho_z6, n_samples=0)
+    assert report.n_samples == 0 and report.frame_vector is None
+
+
 def test_verify_duality_identity_vector(lam_z6, rho_z6):
     e = np.zeros(6)
     e[0] = 1.0

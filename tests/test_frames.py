@@ -280,6 +280,15 @@ def test_dilate_accepts_already_complete():
     np.testing.assert_allclose(res.h, np.zeros(4))
 
 
+def test_negative_tries_rejected():
+    lam = lam_of(4)
+    with pytest.raises(InvalidParameterError):
+        dilate_to_complete(lam, chi(4, 0), max_tries=-1)
+    with pytest.raises(InvalidParameterError):
+        bessel_parameterize(lam, chi(4, 0), chi(4, 0), max_tries=-1)
+    assert dilate_to_complete(lam, chi(4, 0), max_tries=0).tries == 0
+
+
 def test_dilate_frame_mode_dft_projection():
     lam = lam_of(4)
     f = dft_matrix(4)

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedual import (
     GaborLattice,
     InvalidParameterError,
     adjoint_lattice,
     classify,
+    cyclic_group,
+    derive_multiplier,
+    direct_product,
     frame_operator,
     gabor_rep,
     heisenberg_multiplier,
@@ -66,6 +71,54 @@ def test_gabor_rep_structure():
         mat = rep.matrices[k]  # (0, k): pure translation, a permutation
         np.testing.assert_allclose(np.abs(mat) @ np.ones(6), np.ones(6), atol=1e-14)
         assert set(np.round(np.abs(mat).reshape(-1), 12)) <= {0.0, 1.0}
+
+
+def dense_gabor(lattice):
+    """The dense route: every M^{am} @ T^{bk} as a full matrix product, the
+    cocycle recovered from the compositions by derive_multiplier."""
+    n, a, b = lattice.n, lattice.a, lattice.b
+    qm, qt = n // a, n // b
+    group = direct_product(cyclic_group(qm), cyclic_group(qt))
+    t = translation(n)
+    mats = np.stack([
+        np.diag(np.exp(2j * np.pi * (a * m) * np.arange(n) / n))
+        @ np.linalg.matrix_power(t, b * k)
+        for m in range(qm) for k in range(qt)
+    ])
+    return mats, derive_multiplier(mats, group)
+
+
+def assert_matches_dense_route(lattice):
+    rep = gabor_rep(lattice)
+    mats, mu = dense_gabor(lattice)
+    assert np.array_equal(rep.matrices, mats)
+    assert rep.multiplier.group == mu.group
+    assert np.abs(rep.multiplier.table - mu.table).max() <= 1e-12
+
+
+GABOR_LADDER = [(1, 1, 1), (4, 4, 4), (6, 2, 3), (8, 2, 2), (12, 3, 2), (12, 2, 3), (16, 1, 1)]
+
+
+@pytest.mark.parametrize("n,a,b", GABOR_LADDER)
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_gabor_rep_matches_dense_route(n, a, b, adjoint):
+    lattice = GaborLattice(n, a, b)
+    assert_matches_dense_route(adjoint_lattice(lattice) if adjoint else lattice)
+
+
+@st.composite
+def divisor_lattices(draw):
+    n = draw(st.integers(1, 24))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    a, b = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+    return GaborLattice(n, a, b)
+
+
+# the dense route costs |G|^2 n^3, so its order is kept at 144 or below
+@settings(max_examples=25, deadline=None)
+@given(divisor_lattices().filter(lambda lat: (lat.n // lat.a) * (lat.n // lat.b) <= 144))
+def test_gabor_rep_matches_dense_route_drawn(lattice):
+    assert_matches_dense_route(lattice)
 
 
 def test_adjoint_lattice_values():

@@ -1,9 +1,10 @@
-"""Regular representations, cocycle recovery, subrepresentations."""
+"""Regular and monomial representations, cocycle recovery, subrepresentations."""
 
 import numpy as np
 import pytest
 
 from framedual import (
+    GaborLattice,
     InvalidParameterError,
     Multiplier,
     NotInvariantError,
@@ -13,9 +14,11 @@ from framedual import (
     conjugate_multiplier,
     cyclic_group,
     derive_multiplier,
+    gabor_rep,
     gram_matrix,
     heisenberg_multiplier,
     left_regular,
+    monomial_rep,
     right_regular,
     subrepresentation,
     trivial_multiplier,
@@ -162,6 +165,108 @@ def test_derive_multiplier_rejects_unrelated_unitaries():
     mats = np.stack([random_unitary(rng, 3), random_unitary(rng, 3)])
     with pytest.raises(NotProjectiveError):
         derive_multiplier(mats, g)
+
+
+def monomial_inputs(rep):
+    """(perm, phase) of a monomial stack: the column and value of the one
+    nonzero entry in each row."""
+    perm = np.abs(rep.matrices).argmax(axis=2)
+    phase = np.take_along_axis(rep.matrices, perm[:, :, None], axis=2)[:, :, 0]
+    return perm, phase
+
+
+def test_monomial_rep_reproduces_left_regular():
+    mu = heisenberg_multiplier(3)
+    group = mu.group
+    lam = left_regular(group, mu)
+    # row r of L(g) holds mu(g, g^-1 r) in column g^-1 r
+    perm = group.cayley[group.inverse]
+    phase = np.take_along_axis(mu.table, perm, axis=1)
+    rep = monomial_rep(group, mu, perm, phase, label="lam")
+    assert np.array_equal(rep.matrices, lam.matrices)
+    assert rep.multiplier is mu and rep.label == "lam"
+    assert verify_rep(rep).passed
+
+
+GABOR_6_2_3 = gabor_rep(GaborLattice(6, 2, 3))
+
+
+def mutated(change=None, g=0):
+    """monomial_rep's arguments for the Gabor (6,2,3) rep, after change."""
+    rep = GABOR_6_2_3
+    perm, phase = monomial_inputs(rep)
+    table = rep.multiplier.table.copy()
+    if change is not None:
+        change(perm, phase, table, g)
+    return rep.group, Multiplier(rep.group, table), perm, phase
+
+
+def flip_phase(perm, phase, table, g):
+    phase[g, 2] *= -1
+
+
+def swap_columns(perm, phase, table, g):
+    perm[g, [0, 1]] = perm[g, [1, 0]]
+
+
+def tilt_cocycle(perm, phase, table, g):
+    table[g, 3] *= np.exp(0.25j)
+
+
+def repeat_column(perm, phase, table, g):
+    perm[g, 1] = perm[g, 0]
+
+
+def test_monomial_rep_unmutated_inputs_rebuild_the_stack():
+    rep = monomial_rep(*mutated())
+    assert np.array_equal(rep.matrices, GABOR_6_2_3.matrices)
+
+
+@pytest.mark.parametrize("change,caught_by", [
+    (flip_phase, "differs from mu"),
+    (swap_columns, "has its entry in column"),
+    (tilt_cocycle, "differs from mu"),
+    (repeat_column, "is not a permutation"),
+])
+@pytest.mark.parametrize("g", [1, 2, 5])
+def test_monomial_rep_mutations_not_projective(change, caught_by, g):
+    with pytest.raises(NotProjectiveError, match=caught_by):
+        monomial_rep(*mutated(change, g))
+
+
+def nudge_cocycle(perm, phase, table, g):
+    table[g, 3] *= np.exp(1e-11j)
+
+
+def test_monomial_rep_validates_cocycle_at_unit_tol():
+    # a nudge of 1e-11 passes the composition check at REP_TOL but breaks
+    # the cocycle identity at UNIT_TOL
+    with pytest.raises(InvalidParameterError, match="invalid multiplier"):
+        monomial_rep(*mutated(nudge_cocycle, 2))
+
+
+def test_monomial_rep_rejects_phase_off_unit_circle():
+    group, mu, perm, phase = mutated()
+    phase[4, 1] *= 1.5
+    with pytest.raises(NotProjectiveError, match="modulus"):
+        monomial_rep(group, mu, perm, phase)
+
+
+def test_monomial_rep_rejects_malformed_inputs():
+    group, mu, perm, phase = mutated()
+    with pytest.raises(InvalidParameterError):
+        monomial_rep(group, mu, perm[:-1], phase[:-1])
+    with pytest.raises(InvalidParameterError):
+        monomial_rep(group, mu, perm, phase[:, :-1])
+    with pytest.raises(InvalidParameterError):
+        monomial_rep(group, mu, perm.astype(float), phase)
+    out_of_range = perm.copy()
+    out_of_range[1, 0] = 6
+    with pytest.raises(InvalidParameterError):
+        monomial_rep(group, mu, out_of_range, phase)
+    other = cyclic_group(group.order)
+    with pytest.raises(InvalidParameterError):
+        monomial_rep(group, trivial_multiplier(other), perm, phase)
 
 
 def test_subrepresentation_full_projection():
