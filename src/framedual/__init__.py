@@ -23,6 +23,7 @@ from .duality import (
     verify_duality,
 )
 from .errors import (
+    CompletionExhaustedError,
     ConstructionFailureError,
     FrameDualError,
     InvalidPairError,
@@ -32,6 +33,7 @@ from .errors import (
     NotProjectiveError,
     ParameterizationError,
     RouteDisagreementError,
+    SearchExhaustedError,
 )
 from .frames import (
     AnalysisOperator,
@@ -55,6 +57,7 @@ from .groups import (
     FiniteGroup,
     Multiplier,
     MultiplierValidation,
+    certify_multiplier,
     conjugate_multiplier,
     cyclic_group,
     direct_product,

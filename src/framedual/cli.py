@@ -15,7 +15,8 @@ Reports are JSON (CSV only for sweep summaries) and embed the tool version,
 the effective configuration, the seed, and all tolerances, so any run can be
 reproduced byte for byte.  Exit codes: 0 all checks pass, 1 a mathematical
 inconsistency or counterexample was found, 2 invalid input or configuration,
-3 an internal error (a fault of the program; the traceback goes to stderr).
+3 an internal error (a fault of the program; the traceback goes to stderr),
+4 a randomized search used up its tries (dilate --max-tries).
 
 Examples:
     framedual sweep --pair regular --group Z12 --multiplier trivial --n 200 --seed 7
@@ -47,6 +48,7 @@ from .errors import (
     NotProjectiveError,
     ParameterizationError,
     RouteDisagreementError,
+    SearchExhaustedError,
 )
 from .frames import FLAG_TOL, ROUTE_TOL, classify, dilate_to_complete
 from .gabor import adjoint_lattice, zak_transform
@@ -58,6 +60,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_SEARCH_EXHAUSTED = 4
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -446,6 +449,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
         print(f"framedual: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SearchExhaustedError as exc:  # more tries may succeed: not a counterexample
+        print(f"framedual: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SEARCH_EXHAUSTED
     except (RouteDisagreementError, ConstructionFailureError, NotProjectiveError,
             NoWitnessError, ParameterizationError, FrameDualError) as exc:
         print(f"framedual: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -31,6 +31,11 @@ class ConstructionFailureError(FrameDualError):
     output that passes certification."""
 
 
+class SearchExhaustedError(ConstructionFailureError):
+    """A randomized search used up its tries.  The object it looks for may
+    still exist: this is not a counterexample, and the CLI exits 4 on it."""
+
+
 class NoWitnessError(FrameDualError):
     """No orthogonal-range witness exists: the analysis range is already
     the whole coefficient space."""
@@ -44,3 +49,8 @@ class ParameterizationError(FrameDualError):
 class InvalidPairError(FrameDualError):
     """The two representations do not form the required commuting or dual
     pair."""
+
+
+class CompletionExhaustedError(SearchExhaustedError, ParameterizationError):
+    """bessel_parameterize found solutions of A xi = eta but used up its
+    random completions before one had the promised structure."""

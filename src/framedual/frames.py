@@ -31,11 +31,13 @@ import numpy as np
 
 from . import vonneumann
 from .errors import (
+    CompletionExhaustedError,
     ConstructionFailureError,
     InvalidParameterError,
     NoWitnessError,
     ParameterizationError,
     RouteDisagreementError,
+    SearchExhaustedError,
 )
 from .linalg import (
     RANK_TOL,
@@ -304,7 +306,8 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     confined to the orbit-span complement and normalized there, and the sum
     is certified to have frame operator equal to the identity.  Every return
     is gated by explicit certification; randomness only affects how many
-    tries that takes.
+    tries that takes, and SearchExhaustedError means max_tries were not
+    enough.
     """
     if mode not in ("frame", "parseval"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -357,7 +360,7 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
         if result is not None:
             return result
         last_reason = f"candidate {t} failed certification"
-    raise ConstructionFailureError(
+    raise SearchExhaustedError(
         f"dilation failed after {max_tries} tries ({last_reason}); "
         f"rep={rep.label}, mode={mode}, seed={seed}"
     )
@@ -426,7 +429,8 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
     complete Parseval vector has flat block Grams) is completed on the
     kernel of the evaluation map by a polar-corrected generic algebra
     element.  Every return path is certified; certification failure raises
-    ParameterizationError.
+    ParameterizationError, and CompletionExhaustedError (also a
+    SearchExhaustedError) when max_tries completions all fail.
     """
     x = np.asarray(xi_parseval, dtype=complex).reshape(-1)
     y = np.asarray(eta, dtype=complex).reshape(-1)
@@ -482,7 +486,7 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
                 structured_enough(candidate) and \
                 vonneumann.contains(algebra, candidate):
             return candidate
-    raise ParameterizationError(
+    raise CompletionExhaustedError(
         f"found solutions of A xi = eta but none with the structure the "
         f"classification of eta promises (complete={cls.is_complete_frame}, "
         f"parseval={cls.is_parseval}) after {max_tries} completions"

@@ -66,7 +66,8 @@ def gabor_rep(lattice: GaborLattice) -> ProjectiveRep:
     i = np.arange(n)
     perm = (i - b * k[:, None]) % n
     phase = np.exp(2j * np.pi * (a * m)[:, None] * i / n)
-    mu = Multiplier(group, np.exp(-2j * np.pi * (np.outer(b * k, a * m) % n) / n))
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)  # looked up: one exp per residue
+    mu = Multiplier(group, roots[np.outer(b * k, a * m) % n])
     return monomial_rep(group, mu, perm, phase, label=f"gabor[{n};{a},{b}]")
 
 

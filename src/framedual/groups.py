@@ -9,12 +9,24 @@ unit-modulus complex numbers twisting operator compositions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
 UNIT_TOL = 1e-12  # constructed tables are analytic; only fp error is allowed
+ROUNDING = 4 * float(np.finfo(float).eps)  # rounding in one computed cocycle residual
+
+
+class GeneratingSet(NamedTuple):
+    """Group elements that generate the group, and the depth of the
+    breadth-first search from the identity over them: every element is a
+    product of at most depth generators (a finite group needs no inverses)."""
+
+    elements: tuple[int, ...]
+    depth: int
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -47,6 +59,28 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.cayley, self.cayley.T))
 
+    @cached_property
+    def generating_set(self) -> GeneratingSet:
+        """A generating set S picked greedily from the table, and its depth
+        L, the longest shortest word in S.  Computed once per group.
+
+        While S generates a proper subgroup, the smallest element g outside
+        it joins S with its squares g, g^2, g^4, ... up to the identity or a
+        repeat.  The squares keep L near the number of binary digits of the
+        element orders: Z_128 gets S = {1, 2, 4, ..., 64} and L = 7, where
+        the generator 1 alone would give L = 127.
+        """
+        elements: list[int] = []
+        while True:
+            depths = _word_depths(self.cayley, self.identity, elements)
+            outside = np.flatnonzero(depths < 0)
+            if outside.size == 0:
+                return GeneratingSet(tuple(elements), int(depths.max()))
+            g = int(outside[0])
+            while g != self.identity and g not in elements:
+                elements.append(g)
+                g = int(self.cayley[g, g])
+
     def op(self, a: int, b: int) -> int:
         return int(self.cayley[a, b])
 
@@ -60,6 +94,22 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.label!r}, order={self.order})"
+
+
+def _word_depths(cayley: np.ndarray, identity: int, elements) -> np.ndarray:
+    """Length of the shortest word in the elements for each group element,
+    -1 for those outside the subgroup they generate (breadth-first search)."""
+    depths = np.full(cayley.shape[0], -1, dtype=np.int64)
+    depths[identity] = 0
+    frontier = np.array([identity])
+    steps = np.asarray(elements, dtype=np.int64)
+    level = 0
+    while frontier.size and steps.size:
+        level += 1
+        reached = cayley[frontier[:, None], steps]
+        depths[reached[depths[reached] < 0]] = level
+        frontier = np.flatnonzero(depths == level)
+    return depths
 
 
 def from_cayley_table(table, label: str = "G") -> FiniteGroup:
@@ -179,7 +229,14 @@ class MultiplierValidation:
 
 def validate_multiplier(mu: Multiplier, tol: float = UNIT_TOL) -> MultiplierValidation:
     """Check unit modulus, identity normalization, the cocycle identity over
-    all triples, and the derived symmetry mu(g, g^-1) = mu(g^-1, g)."""
+    all triples, and the derived symmetry mu(g, g^-1) = mu(g^-1, g).
+
+    This is the exhaustive check, O(|G|^3): it reports the largest residual
+    and the first counterexample, and the validate command prints both.
+    Constructions ask certify_multiplier first and come here only for a
+    table it does not certify, so that the tables they accept and the
+    counterexamples they reject with are this function's.
+    """
     group, t = mu.group, mu.table
     n = group.order
     cay = group.cayley
@@ -212,9 +269,7 @@ def validate_multiplier(mu: Multiplier, tol: float = UNIT_TOL) -> MultiplierVali
 
     cocycle_ok = True
     for g1 in range(n):
-        lhs = t[g1][cay] * t                   # mu(g1, g2 g3) mu(g2, g3)
-        rhs = t[cay[g1]] * t[g1][:, None]      # mu(g1 g2, g3) mu(g1, g2)
-        resid = np.abs(lhs - rhs)
+        resid = _cocycle_residuals(t, cay, g1)
         m = float(resid.max())
         if m > tol and cocycle_ok:
             g2, g3 = np.unravel_index(int(resid.argmax()), resid.shape)
@@ -234,6 +289,67 @@ def validate_multiplier(mu: Multiplier, tol: float = UNIT_TOL) -> MultiplierVali
     passed = unit_ok and norm_ok and cocycle_ok and sym_ok
     return MultiplierValidation(passed, unit_ok, norm_ok, cocycle_ok, sym_ok,
                                 worst, counterexample, tol)
+
+
+def _cocycle_residuals(t: np.ndarray, cay: np.ndarray, g1: int) -> np.ndarray:
+    """|mu(g1, g2 g3) mu(g2, g3) - mu(g1 g2, g3) mu(g1, g2)| over (g2, g3)."""
+    lhs = t[g1][cay]
+    lhs *= t                               # mu(g1, g2 g3) mu(g2, g3)
+    rhs = t[cay[g1]]
+    rhs *= t[g1][:, None]                  # mu(g1 g2, g3) mu(g1, g2)
+    lhs -= rhs
+    return np.abs(lhs)
+
+
+def certify_multiplier(mu: Multiplier) -> bool:
+    """A sufficient test, O(|S| |G|^2), that validate_multiplier(mu) passes
+    at UNIT_TOL; False means only that the exhaustive check has to decide.
+
+    Unit modulus and inverse symmetry are checked at UNIT_TOL, as
+    validate_multiplier checks them.  The normalization and the cocycle
+    residual, for g1 in the generating set S only, are gated at
+    UNIT_TOL / (3L) - r, where L is the depth of S and r = ROUNDING bounds
+    the rounding in one computed residual; so the exact residuals on these
+    generator slices are at most eps = UNIT_TOL / (3L).
+
+    Why that suffices.  Let D(a, b, c) = mu(a, bc) mu(b, c) - mu(ab, c) mu(a, b),
+    the signed residual.  The five bracketings of a product abcd in the
+    twisted group algebra give, for any table, the identity (D is a
+    3-cocycle)
+
+        mu(a, b) D(ab, c, d) = mu(a, bcd) D(b, c, d) + mu(abc, d) D(a, b, c)
+                               + mu(b, c) D(a, bc, d) - mu(c, d) D(a, b, cd).
+
+    Put a = s in S.  With u = max | |mu| - 1 | (at most UNIT_TOL), each
+    factor has modulus in [1 - u, 1 + u], so
+    |D(sb, c, d)| <= rho (|D(b, c, d)| + 3 eps) with rho = (1 + u) / (1 - u).
+    Every g other than the identity is a word s b with b one letter
+    shorter, so by induction on the length k <= L,
+    |D(g, c, d)| <= (3k - 2) rho^(k - 1) eps; and |D(e, c, d)| =
+    |mu(c, d)| |mu(e, cd) - mu(e, c)| <= 2 (1 + u) eps.  The certificate
+    passes only when (3L - 2) rho^(L - 1) eps + r <= UNIT_TOL, so that every
+    computed triple residual is within UNIT_TOL.  For analytic tables the
+    generator slices hold the same roundoff as the full cube (1.3e-15 on
+    the Gabor (16,1,1) table), far below the gate, which is 4.1e-14 for
+    L = 8.
+    """
+    group, t = mu.group, mu.table
+    depth = group.generating_set.depth
+    u = float(np.abs(np.abs(t) - 1.0).max())
+    if depth == 0 or not u <= UNIT_TOL:  # the trivial group: nothing to save
+        return False
+    eps = UNIT_TOL / (3 * depth)
+    growth = (3 * depth - 2) * ((1.0 + u) / (1.0 - u)) ** (depth - 1)
+    if not growth * eps + ROUNDING <= UNIT_TOL:
+        return False
+    gate = eps - ROUNDING
+    e, n, inv = group.identity, group.order, group.inverse
+    if not max(np.abs(t[:, e] - 1.0).max(), np.abs(t[e, :] - 1.0).max()) <= gate:
+        return False
+    if not np.abs(t[np.arange(n), inv] - t[inv, np.arange(n)]).max() <= UNIT_TOL:
+        return False
+    return all(_cocycle_residuals(t, group.cayley, s).max() <= gate
+               for s in group.generating_set.elements)
 
 
 def trivial_multiplier(group: FiniteGroup) -> Multiplier:

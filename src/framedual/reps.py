@@ -19,7 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameterError, NotInvariantError, NotProjectiveError
-from .groups import FiniteGroup, Multiplier, cyclic_group, trivial_multiplier, validate_multiplier
+from .groups import (
+    FiniteGroup,
+    Multiplier,
+    certify_multiplier,
+    cyclic_group,
+    trivial_multiplier,
+    validate_multiplier,
+)
 from .linalg import RANK_TOL, hermitian_eig
 from .vonneumann import OperatorSubspace
 
@@ -176,8 +183,18 @@ def _twisted_compositions(mats: np.ndarray, group: FiniteGroup, scalars_for):
 
 
 def _require_valid(group: FiniteGroup, mu: Multiplier) -> None:
+    """Reject a multiplier defined on another group, or one that fails
+    validate_multiplier at UNIT_TOL, naming its first counterexample.
+
+    certify_multiplier decides first, at O(|S| |G|^2); only a table it does
+    not certify goes through the all-triples check.  The certificate passes
+    only tables that the all-triples check passes, so the accepted tables
+    and the messages of rejected ones are those of the all-triples check.
+    """
     if not (mu.group == group):
         raise InvalidParameterError("multiplier is defined on a different group")
+    if certify_multiplier(mu):
+        return
     report = validate_multiplier(mu)
     if not report.passed:
         raise InvalidParameterError(
@@ -224,13 +241,38 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
     the single entry phase[g, i] in column perm[g, i], so
     (pi(g) x)[i] = phase[g, i] x[perm[g, i]].
 
-    The twisted composition is checked in that form for every pair, at
-    O(|G|^2 dim): row i of pi(g) pi(h) holds phase[g, i] phase[h, perm[g, i]]
-    in column perm[h, perm[g, i]], which must be column perm[gh, i] exactly,
-    with value mu(g, h) phase[gh, i] within REP_TOL.  A row of perm that is
-    not a permutation, a phase off the unit circle or a failed composition
-    raises NotProjectiveError; mu is then validated as a cocycle at
-    UNIT_TOL, as left_regular does.  Only then is the dense stack built.
+    The twisted composition is checked in that form: row i of pi(g) pi(h)
+    holds phase[g, i] phase[h, perm[g, i]] in column perm[h, perm[g, i]],
+    which must be column perm[gh, i] exactly, with value mu(g, h) phase[gh, i]
+    within REP_TOL, and mu must be a cocycle at UNIT_TOL.  A row of perm that
+    is not a permutation, a phase off the unit circle or a failed
+    composition raises NotProjectiveError, an invalid mu then
+    InvalidParameterError.  Only then is the dense stack built.
+
+    A certificate decides first, at O(|S| |G| dim): certify_multiplier
+    passes, and the composition check holds for g in the generating set S
+    only, with phase residuals gated at REP_TOL / (3L) (L the depth of S).
+    On any miss the check runs for every g and mu goes through
+    _require_valid, so inputs are accepted, and rejected with the message
+    of the first failing pair, exactly as by the check over all pairs.
+
+    Why the generator rows suffice.  Write perm_g for i -> perm[g, i]; the
+    column condition reads perm_gh = perm_h o perm_g.  Taking h = e in it
+    for one s gives perm_e = id, and for a word g = s g' with the condition
+    known for g', perm_(gh) = perm_(g'h) o perm_s = perm_h o perm_g' o perm_s
+    = perm_h o perm_g: it holds for all pairs, exactly.  For the values let
+    R(g, h) = pi(g) pi(h) - mu(g, h) pi(gh), a monomial matrix whose operator
+    norm is its largest entry, and D the signed cocycle residual of
+    certify_multiplier.  Expanding pi(s) pi(g') pi(h) both ways gives
+
+        mu(s, g') R(g, h) = mu(g', h) R(s, g'h) + pi(s) R(g', h)
+                            - R(s, g') pi(h) + D(s, g', h) pi(gh).
+
+    With eps = REP_TOL / (3L) on the generator rows, D within
+    UNIT_TOL / (3L) on the generator slices, and every modulus within
+    REP_TOL of 1, induction on the word length bounds every R(g, h) by
+    about (2L - 1) eps + L UNIT_TOL / (3L), which is under 0.68 REP_TOL; and
+    R(e, h) is within eps plus twice the normalization residual of mu.
     """
     if not (mu.group == group):
         raise InvalidParameterError("multiplier is defined on a different group")
@@ -259,28 +301,52 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
             f"phase[{g}, {i}] has modulus {abs(ph[g, i]):.6f}; pi({g}) is not unitary"
         )
 
-    cay, table = group.cayley, mu.table
-    for g in range(n):
-        support = p[:, p[g]]  # support[h, i] = perm[h, perm[g, i]]
-        target = p[cay[g]]
-        if not np.array_equal(support, target):
-            h, i = np.argwhere(support != target)[0]
-            raise NotProjectiveError(
-                f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
-                f"entry in column {support[h, i]}, not {target[h, i]}"
-            )
-        resid = np.abs(ph[g] * ph[:, p[g]] - table[g][:, None] * ph[cay[g]])
-        if resid.max() > REP_TOL:
-            h, i = np.unravel_index(int(resid.argmax()), resid.shape)
-            raise NotProjectiveError(
-                f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "
-                f"{resid[h, i]:.3e} in row {i}"
-            )
-    _require_valid(group, mu)
+    if not (_generator_compositions_hold(group, mu, p, ph) and certify_multiplier(mu)):
+        for g in range(n):
+            support, target, resid = _monomial_composition(group, mu, p, ph, g)
+            if not np.array_equal(support, target):
+                h, i = np.argwhere(support != target)[0]
+                raise NotProjectiveError(
+                    f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
+                    f"entry in column {support[h, i]}, not {target[h, i]}"
+                )
+            if resid.max() > REP_TOL:
+                h, i = np.unravel_index(int(resid.argmax()), resid.shape)
+                raise NotProjectiveError(
+                    f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "
+                    f"{resid[h, i]:.3e} in row {i}"
+                )
+        _require_valid(group, mu)
 
     mats = np.zeros((n, d, d), dtype=complex)
     mats[np.arange(n)[:, None], np.arange(d), p] = ph
     return ProjectiveRep(group, mu, mats, label=label)
+
+
+def _monomial_composition(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
+                          ph: np.ndarray, g: int):
+    """pi(g) pi(h) against mu(g, h) pi(gh) for every h, in monomial form:
+    (support, target, resid) with support[h, i] = perm[h, perm[g, i]] the
+    column of row i of the product, target[h, i] = perm[gh, i] the column it
+    must be, and resid[h, i] the distance of its value from mu(g, h) phase[gh, i]."""
+    cay = group.cayley
+    resid = np.abs(ph[g] * ph[:, p[g]] - mu.table[g][:, None] * ph[cay[g]])
+    return p[:, p[g]], p[cay[g]], resid
+
+
+def _generator_compositions_hold(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
+                                 ph: np.ndarray) -> bool:
+    """monomial_rep's composition check for g in the generating set only,
+    with phase residuals gated at REP_TOL / (3L)."""
+    gens = group.generating_set
+    if gens.depth == 0:
+        return False
+    gate = REP_TOL / (3 * gens.depth)
+    for g in gens.elements:
+        support, target, resid = _monomial_composition(group, mu, p, ph, g)
+        if not (np.array_equal(support, target) and resid.max() <= gate):
+            return False
+    return True
 
 
 def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multiplier:

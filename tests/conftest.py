@@ -73,10 +73,38 @@ def dihedral_cayley(n: int) -> np.ndarray:
     return table
 
 
-def random_cocycle_rep(orders, ks, betas, side):
-    """Regular rep of Z_{n1} x ... with a random cocycle: a product of
-    bicharacters exp(2 pi i k x_j(g) x_i(h) / gcd(n_i, n_j)), one per pair of
-    factors, times the coboundary of random phases beta (beta(e) = 1)."""
+def quaternion_cayley() -> np.ndarray:
+    """Cayley table of the quaternion group Q8.
+
+    Element u + 4*s stands for (-1)^s q_u with q = (1, i, j, k), so that
+    i^2 = j^2 = k^2 = ijk = -1.
+    """
+    # units[u][v] = (sign, w) with q_u q_v = sign * q_w
+    units = [[(1, 0), (1, 1), (1, 2), (1, 3)],
+             [(1, 1), (-1, 0), (1, 3), (-1, 2)],
+             [(1, 2), (-1, 3), (-1, 0), (1, 1)],
+             [(1, 3), (1, 2), (-1, 1), (-1, 0)]]
+    table = np.zeros((8, 8), dtype=int)
+    for a in range(8):
+        for b in range(8):
+            sign, w = units[a % 4][b % 4]
+            negative = (a // 4 + b // 4 + (sign < 0)) % 2
+            table[a, b] = w + 4 * negative
+    return table
+
+
+def coboundary(group, phases) -> Multiplier:
+    """The cocycle f(g) f(h) / f(gh) of the phases f = exp(2 pi i phases),
+    with f(e) = 1: a valid table on any group, abelian or not."""
+    f = np.exp(2j * np.pi * np.asarray(phases[:group.order], dtype=float))
+    f[group.identity] = 1.0
+    return Multiplier(group, np.outer(f, f) / f[group.cayley])
+
+
+def random_cocycle(orders, ks, betas) -> Multiplier:
+    """A random cocycle on Z_{n1} x ...: a product of bicharacters
+    exp(2 pi i k x_j(g) x_i(h) / gcd(n_i, n_j)), one per pair of factors,
+    times the coboundary of random phases beta (beta(e) = 1)."""
     group = cyclic_group(orders[0])
     for n in orders[1:]:
         group = direct_product(group, cyclic_group(n))
@@ -89,16 +117,22 @@ def random_cocycle_rep(orders, ks, betas, side):
     beta = np.exp(2j * np.pi * np.asarray(betas[:group.order]))
     beta[group.identity] = 1.0
     table *= np.outer(beta, beta) / beta[group.cayley]
-    mu = Multiplier(group, table)
+    return Multiplier(group, table)
+
+
+def random_cocycle_rep(orders, ks, betas, side):
+    """Regular rep of Z_{n1} x ... with a random cocycle (random_cocycle)."""
+    mu = random_cocycle(orders, ks, betas)
     assert validate_multiplier(mu).passed
-    return (left_regular if side == "left" else right_regular)(group, mu)
+    return (left_regular if side == "left" else right_regular)(mu.group, mu)
 
 
-random_reps = st.builds(
-    random_cocycle_rep,
+cocycle_args = dict(
     orders=st.lists(st.integers(2, 3), min_size=2, max_size=2)
     | st.just([2, 2, 2]) | st.just([2, 4]) | st.just([2, 6]),
     ks=st.lists(st.integers(0, 5), min_size=3, max_size=3),
     betas=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
-    side=st.sampled_from(["left", "right"]),
 )
+random_cocycles = st.builds(random_cocycle, **cocycle_args)
+random_reps = st.builds(random_cocycle_rep, **cocycle_args,
+                        side=st.sampled_from(["left", "right"]))

@@ -242,6 +242,17 @@ def test_negative_tries_count_exit_2(capsys):
                  "--vector", "1,0,0,0,0,0,0,0", "--max-tries", "0"]) == 0
 
 
+def test_exhausted_search_exit_4(capsys):
+    # the orbit of (1, 1, 0, ...) spans a proper subspace, so zero tries
+    # cannot complete it; more tries would, so this is no counterexample
+    argv = ["dilate", "--rep", "regular", "--group", "Z8", "--vector", "1,1,0,0,0,0,0,0"]
+    assert main([*argv, "--max-tries", "0"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "SearchExhaustedError: dilation failed after 0 tries" in err
+    assert main(argv) == 0
+
+
 def test_malformed_bundle_structure_exit_2(tmp_path, capsys):
     from framedual import left_regular, trivial_multiplier
 

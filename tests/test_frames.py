@@ -289,6 +289,27 @@ def test_negative_tries_rejected():
     assert dilate_to_complete(lam, chi(4, 0), max_tries=0).tries == 0
 
 
+def test_exhausted_searches_raise_search_exhausted():
+    from framedual import (CompletionExhaustedError, ConstructionFailureError,
+                           ParameterizationError, SearchExhaustedError)
+    lam = lam_of(8)
+    deficient = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=complex)
+    with pytest.raises(SearchExhaustedError, match="dilation failed after 0 tries") as info:
+        dilate_to_complete(lam, deficient, max_tries=0)
+    assert isinstance(info.value, ConstructionFailureError)
+    assert dilate_to_complete(lam, deficient).tries >= 1
+    # on the Gabor (4,1,2) rep the least-squares solution and the canonical
+    # partial isometry are not unitary, so a random completion is needed
+    pi = gabor_rep(GaborLattice(4, 1, 2))
+    xi = parseval_normalize(pi, random_complex_vector(substream(7, 0), 4))
+    eta = random_complex_vector(substream(9, 0), 4)
+    with pytest.raises(CompletionExhaustedError, match="after 0 completions") as info:
+        bessel_parameterize(pi, xi, eta, max_tries=0)
+    assert isinstance(info.value, SearchExhaustedError)
+    assert isinstance(info.value, ParameterizationError)
+    bessel_parameterize(pi, xi, eta)
+
+
 def test_dilate_frame_mode_dft_projection():
     lam = lam_of(4)
     f = dft_matrix(4)

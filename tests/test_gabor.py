@@ -121,6 +121,20 @@ def test_gabor_rep_matches_dense_route_drawn(lattice):
     assert_matches_dense_route(lattice)
 
 
+@pytest.mark.parametrize("n", [1, 6, 12, 16, 24, 30, 32, 48])
+def test_gabor_cocycle_lookup_is_bit_equal_to_direct_exp(n):
+    # the table is looked up among the n roots of unity; each entry must
+    # keep the bits of exp(-2 pi i ((am')(bk) mod n) / n) evaluated in place
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for a in divisors:
+        for b in divisors:
+            qm, qt = n // a, n // b
+            m, k = np.divmod(np.arange(qm * qt), qt)
+            direct = np.exp(-2j * np.pi * (np.outer(b * k, a * m) % n) / n)
+            table = gabor_rep(GaborLattice(n, a, b)).multiplier.table
+            assert np.array_equal(table.view(np.uint64), direct.view(np.uint64))
+
+
 def test_adjoint_lattice_values():
     assert adjoint_lattice(GaborLattice(12, 3, 2)) == GaborLattice(12, 6, 4)
     assert adjoint_lattice(GaborLattice(8, 1, 1)) == GaborLattice(8, 8, 8)

@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedual import (
     InvalidParameterError,
     Multiplier,
+    certify_multiplier,
     conjugate_multiplier,
     cyclic_group,
     direct_product,
@@ -16,7 +19,7 @@ from framedual import (
     trivial_multiplier,
     validate_multiplier,
 )
-from conftest import dihedral_cayley
+from conftest import coboundary, dihedral_cayley, quaternion_cayley, random_cocycles
 
 
 def test_cyclic_trivial_group():
@@ -186,3 +189,187 @@ def test_conjugate_multiplier():
 
 def test_group_equality_ignores_label():
     assert cyclic_group(4) == from_cayley_table(cyclic_group(4).cayley, label="other")
+
+
+# --- generating sets and the generator-slice certificate --------------------
+
+def brute_force_depths(group, elements):
+    """Shortest word length in the elements for each group element, by
+    breadth-first search over Python sets."""
+    depths = {group.identity: 0}
+    frontier = {group.identity}
+    level = 0
+    while frontier:
+        level += 1
+        frontier = {group.op(s, h) for s in elements for h in frontier} - depths.keys()
+        depths.update(dict.fromkeys(frontier, level))
+    return depths
+
+
+SMALL_GROUPS = {
+    "Z1": lambda: cyclic_group(1),
+    "Z2": lambda: cyclic_group(2),
+    "Z7": lambda: cyclic_group(7),
+    "Z12": lambda: cyclic_group(12),
+    "Z64": lambda: cyclic_group(64),
+    "Z2xZ4": lambda: direct_product(cyclic_group(2), cyclic_group(4)),
+    "Z6xZ4": lambda: direct_product(cyclic_group(6), cyclic_group(4)),
+    "Z4xZ4xZ2": lambda: direct_product(direct_product(cyclic_group(4), cyclic_group(4)),
+                                       cyclic_group(2)),
+    "D4": lambda: from_cayley_table(dihedral_cayley(4), label="D4"),
+    "D5": lambda: from_cayley_table(dihedral_cayley(5), label="D5"),
+    "Q8": lambda: from_cayley_table(quaternion_cayley(), label="Q8"),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_generating_set_generates_with_brute_force_depth(name):
+    group = SMALL_GROUPS[name]()
+    gens = group.generating_set
+    depths = brute_force_depths(group, gens.elements)
+    assert sorted(depths) == list(range(group.order))
+    assert gens.depth == max(depths.values())
+    assert group.identity not in gens.elements
+    assert len(set(gens.elements)) == len(gens.elements)
+    for s in gens.elements:  # closed under squaring
+        assert group.op(s, s) in gens.elements or group.op(s, s) == group.identity
+    assert group.generating_set is gens  # derived once
+
+
+def test_generating_set_of_cyclic_groups_is_binary():
+    gens = cyclic_group(128).generating_set
+    assert gens.elements == (1, 2, 4, 8, 16, 32, 64) and gens.depth == 7
+    assert cyclic_group(1).generating_set == ((), 0)
+
+
+def test_cocycle_defect_is_a_three_cocycle():
+    # the identity certify_multiplier's derivation rests on holds for any
+    # table, here a random one on D4 that is no cocycle at all
+    group = from_cayley_table(dihedral_cayley(4))
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    op = group.op
+
+    def defect(a, b, c):
+        return t[a, op(b, c)] * t[b, c] - t[op(a, b), c] * t[a, b]
+
+    worst = 0.0
+    for a, b, c, d in itertools.product(range(8), repeat=4):
+        lhs = t[a, b] * defect(op(a, b), c, d)
+        rhs = (t[a, op(op(b, c), d)] * defect(b, c, d) + t[op(op(a, b), c), d] * defect(a, b, c)
+               + t[b, c] * defect(a, op(b, c), d) - t[c, d] * defect(a, b, op(c, d)))
+        worst = max(worst, abs(lhs - rhs))
+    assert worst < 1e-12
+
+
+def nonabelian_coboundaries():
+    rng = np.random.default_rng(17)
+    return [coboundary(from_cayley_table(table, label=label), rng.random(8))
+            for label, table in (("D4", dihedral_cayley(4)), ("Q8", quaternion_cayley()))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=random_cocycles)
+def test_certificate_passes_random_cocycles_and_agrees_with_oracle(mu):
+    assert certify_multiplier(mu)
+    assert validate_multiplier(mu).passed
+
+
+def test_certificate_passes_nonabelian_coboundaries():
+    for mu in nonabelian_coboundaries():
+        assert not mu.group.is_abelian
+        assert certify_multiplier(mu) and validate_multiplier(mu).passed
+
+
+THETAS = (1e-13, 1e-11, 1e-6, 0.25)
+
+
+def assert_sound(mu):
+    """A passing certificate implies a passing exhaustive check."""
+    if certify_multiplier(mu):
+        assert validate_multiplier(mu).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=random_cocycles, theta=st.sampled_from(THETAS),
+       where=st.tuples(st.integers(0, 11), st.integers(0, 11)))
+def test_certificate_sound_under_single_entry_mutations(mu, theta, where):
+    table = mu.table.copy()
+    g, h = (w % mu.group.order for w in where)
+    table[g, h] *= np.exp(1j * theta)
+    mutated = Multiplier(mu.group, table)
+    assert_sound(mutated)
+    if theta >= 1e-11:  # far above every generator-slice gate
+        assert not certify_multiplier(mutated)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_certificate_sound_on_mutated_nonabelian_coboundaries(theta):
+    for mu in nonabelian_coboundaries():
+        group = mu.group
+        for g, h in itertools.product(range(group.order), repeat=2):
+            table = mu.table.copy()
+            table[g, h] *= np.exp(1j * theta)
+            mutated = Multiplier(group, table)
+            assert_sound(mutated)
+            # every entry enters every generator slice, so no mutation well
+            # above the gate slips through
+            if theta >= 1e-11:
+                assert not certify_multiplier(mutated)
+
+
+def test_certificate_checks_every_generator():
+    # on Z4 x Z4 a table that depends on one coordinate only, and is no
+    # cocycle there, is clean on the generator slices of the other factor
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    first, second = np.divmod(np.arange(16), 4)
+    for coord in (first, second):
+        table = np.exp(0.25j * np.outer(coord == 1, coord == 1))
+        mu = Multiplier(group, table)
+        assert not validate_multiplier(mu).passed
+        assert not certify_multiplier(mu)
+    # on Z4 (S = {1, 2}) the table exp(i/4 [x odd][y = 2]) is clean on the
+    # slice of 2, symmetric on inverse pairs, and no cocycle
+    x = np.arange(4)
+    mu = Multiplier(cyclic_group(4), np.exp(0.25j * np.outer(x % 2 == 1, x == 2)))
+    assert not validate_multiplier(mu).passed
+    assert not certify_multiplier(mu)
+
+
+def test_certificate_gate_covers_long_words():
+    # on Z2^6 (S the six basis vectors, L = 6) the table exp(i eps |x| |y|),
+    # |x| the Hamming weight, has residual 2 eps (|a & b| |c| - |a| |b & c|):
+    # at most 10 eps on the generator slices, 18 eps over all triples
+    group = cyclic_group(2)
+    for _ in range(5):
+        group = direct_product(group, cyclic_group(2))
+    weight = np.array([bin(x).count("1") for x in range(64)])
+    # generator slices within tol, a triple beyond it: the gate must be tighter
+    mu = Multiplier(group, np.exp(7e-14j * np.outer(weight, weight)))
+    assert not validate_multiplier(mu).passed
+    assert not certify_multiplier(mu)
+    mu = Multiplier(group, np.exp(5e-15j * np.outer(weight, weight)))
+    assert certify_multiplier(mu) and validate_multiplier(mu).passed
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_certificate_checks_normalization(theta):
+    # a global phase keeps every cocycle residual at roundoff and breaks
+    # only the normalization mu(e, g) = mu(g, e) = 1
+    for mu in nonabelian_coboundaries() + [heisenberg_multiplier(4)]:
+        turned = Multiplier(mu.group, mu.table * np.exp(1j * theta))
+        assert_sound(turned)
+        if theta >= 1e-11:
+            assert not certify_multiplier(turned)
+
+
+def test_certificate_declines_what_it_cannot_decide():
+    assert not certify_multiplier(trivial_multiplier(cyclic_group(1)))
+    assert validate_multiplier(trivial_multiplier(cyclic_group(1))).passed
+    mu = heisenberg_multiplier(4)
+    table = mu.table.copy()
+    table[3, 5] = np.nan
+    assert not certify_multiplier(Multiplier(mu.group, table))
+    assert not validate_multiplier(Multiplier(mu.group, table)).passed
+    table = mu.table * 1.5  # off the unit circle
+    assert not certify_multiplier(Multiplier(mu.group, table))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import framedual.reps as reps_module
 from framedual import (
+    FrameDualError,
     GaborLattice,
     InvalidParameterError,
     Multiplier,
@@ -14,6 +16,8 @@ from framedual import (
     conjugate_multiplier,
     cyclic_group,
     derive_multiplier,
+    direct_product,
+    from_cayley_table,
     gabor_rep,
     gram_matrix,
     heisenberg_multiplier,
@@ -22,8 +26,10 @@ from framedual import (
     right_regular,
     subrepresentation,
     trivial_multiplier,
+    validate_multiplier,
     verify_rep,
 )
+from conftest import coboundary, dihedral_cayley, quaternion_cayley, random_cocycle
 from framedual.linalg import dft_matrix, random_complex_vector, random_unitary, substream
 
 
@@ -360,3 +366,177 @@ def test_orbit_matrix_definition(lam_heis2):
     theta = analysis_op(lam_heis2, xi).matrix
     for g in range(4):
         np.testing.assert_allclose(theta[g], (lam_heis2.matrices[g] @ xi).conj(), atol=1e-14)
+
+
+# --- the generator certificate against the all-pairs route -----------------
+
+def outcome(build):
+    """(exception class, message, matrices) of one construction."""
+    try:
+        rep = build()
+    except FrameDualError as exc:
+        return type(exc), str(exc), None
+    return None, None, rep.matrices
+
+
+def both_routes(monkeypatch, build):
+    """The outcome as is, and with the certificate made to never pass, which
+    forces the check over all pairs and validate_multiplier."""
+    as_is = outcome(build)
+    with monkeypatch.context() as m:
+        m.setattr(reps_module, "certify_multiplier", lambda mu: False)
+        full = outcome(build)
+    return as_is, full
+
+
+def assert_same_outcome(as_is, full):
+    assert as_is[:2] == full[:2]
+    assert (as_is[2] is None) == (full[2] is None)
+    if as_is[2] is not None:
+        assert np.array_equal(as_is[2], full[2])
+
+
+def certified_cocycles():
+    rng = np.random.default_rng(23)
+    return {
+        "heisenberg3": heisenberg_multiplier(3),
+        "Z2xZ4": random_cocycle([2, 4], [1, 3, 0], list(rng.random(12))),
+        "D4": coboundary(from_cayley_table(dihedral_cayley(4), label="D4"), rng.random(8)),
+        "Q8": coboundary(from_cayley_table(quaternion_cayley(), label="Q8"), rng.random(8)),
+    }
+
+
+def regular_as_monomial(group, mu):
+    # row r of L(g) holds mu(g, g^-1 r) in column g^-1 r
+    perm = group.cayley[group.inverse]
+    phase = np.take_along_axis(mu.table, perm, axis=1)
+    return perm, phase
+
+
+def mutation_sites(group):
+    """(g, h) entries to mutate: a generator row, the last element's row,
+    the normalization row and column, and an inverse pair."""
+    s = group.generating_set.elements[0]
+    last = group.order - 1
+    other = (group.identity + 1) % group.order
+    return [(s, last), (last, s), (group.identity, other), (other, group.identity),
+            (other, group.inv(other))]
+
+
+THETAS = (1e-13, 1e-11, 1e-6, 0.25)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "Z2xZ4", "D4", "Q8"])
+@pytest.mark.parametrize("theta", THETAS)
+def test_regular_reps_decide_as_the_full_route(monkeypatch, name, theta):
+    mu = certified_cocycles()[name]
+    group = mu.group
+    perm, phase = regular_as_monomial(group, mu)
+    for g, h in mutation_sites(group):
+        table = mu.table.copy()
+        table[g, h] *= np.exp(1j * theta)
+        bad = Multiplier(group, table)
+        for build in (lambda: left_regular(group, bad), lambda: right_regular(group, bad),
+                      lambda: monomial_rep(group, bad, perm, phase)):
+            assert_same_outcome(*both_routes(monkeypatch, build))
+
+
+def turn_cocycle_entry(theta):
+    def change(perm, phase, table, g):
+        table[g, 4] *= np.exp(1j * theta)
+    return change
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_monomial_rep_phase_mutations_decide_as_the_full_route(monkeypatch, theta):
+    for g in (1, 2, 5):
+        for i in (0, 3):
+            group, mu, perm, phase = mutated()
+            phase[g, i] *= np.exp(1j * theta)
+            assert_same_outcome(*both_routes(
+                monkeypatch, lambda: monomial_rep(group, mu, perm, phase)))
+        group, mu, perm, phase = mutated(turn_cocycle_entry(theta), g)
+        assert_same_outcome(*both_routes(
+            monkeypatch, lambda: monomial_rep(group, mu, perm, phase)))
+
+
+@pytest.mark.parametrize("factor", [0, 1])
+def test_monomial_certificate_checks_every_generator(monkeypatch, factor):
+    # Z4 x Z4 on C^4: (a, b) shifts by one coordinate plus f of the other,
+    # f(x) = x^2 mod 4 no homomorphism, so only the generators of the other
+    # factor see that the columns do not compose
+    group = direct_product(cyclic_group(4), cyclic_group(4))
+    coords = np.divmod(np.arange(16), 4)
+    shift = coords[factor] + coords[1 - factor] ** 2 % 4
+    perm = (np.arange(4)[None, :] - shift[:, None]) % 4
+    phase = np.ones((16, 4), dtype=complex)
+    as_is, full = both_routes(
+        monkeypatch, lambda: monomial_rep(group, trivial_multiplier(group), perm, phase))
+    assert as_is[0] is NotProjectiveError
+    assert_same_outcome(as_is, full)
+
+
+def test_monomial_certificate_gate_covers_long_words(monkeypatch):
+    # a family on C^1 near the trivial character of Z2^6: phase(x) =
+    # exp(i eps |x|^2) with |x| the Hamming weight, so the composition
+    # residual |a|^2 + |b|^2 - |a + b|^2 is at most 12 eps on the generator
+    # rows but 72 eps at a = b
+    group = cyclic_group(2)
+    for _ in range(5):
+        group = direct_product(group, cyclic_group(2))
+    weight = np.array([bin(x).count("1") for x in range(64)])
+    perm = np.zeros((64, 1), dtype=int)
+    for eps, accepted in ((5e-12, False), (5e-13, True)):
+        phase = np.exp(1j * eps * weight[:, None] ** 2)
+        as_is, full = both_routes(
+            monkeypatch, lambda: monomial_rep(group, trivial_multiplier(group), perm, phase))
+        assert (as_is[0] is None) == accepted
+        assert_same_outcome(as_is, full)
+
+
+def test_certificate_decides_unmutated_constructions(monkeypatch):
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return validate_multiplier(mu)
+
+    monkeypatch.setattr(reps_module, "validate_multiplier", counted)
+    for mu in certified_cocycles().values():
+        left_regular(mu.group, mu)
+        right_regular(mu.group, mu)
+        monomial_rep(mu.group, mu, *regular_as_monomial(mu.group, mu))
+    for lattice in ((6, 2, 3), (16, 1, 1), (32, 2, 2)):
+        gabor_rep(GaborLattice(*lattice))
+    assert calls == []
+    # the trivial group has no generators: the full route decides
+    group = cyclic_group(1)
+    left_regular(group, trivial_multiplier(group))
+    assert len(calls) == 1
+
+
+def test_composition_residual_expansion():
+    # the identity monomial_rep's derivation rests on holds for any monomial
+    # family and any table; here neither is projective
+    rep = GABOR_6_2_3
+    group, cay = rep.group, rep.group.cayley
+    rng = np.random.default_rng(29)
+    mats = rep.matrices * np.exp(0.1j * rng.standard_normal(rep.matrices.shape[:2]))[:, :, None]
+    t = rep.multiplier.table * np.exp(0.1j * rng.standard_normal(rep.multiplier.table.shape))
+
+    def r(g, h):
+        return mats[g] @ mats[h] - t[g, h] * mats[cay[g, h]]
+
+    def defect(a, b, c):
+        return t[a, cay[b, c]] * t[b, c] - t[cay[a, b], c] * t[a, b]
+
+    worst = 0.0
+    for s in group.generating_set.elements:
+        for g2 in range(group.order):
+            for h in range(group.order):
+                g = cay[s, g2]
+                lhs = t[s, g2] * r(g, h)
+                rhs = (t[g2, h] * r(s, cay[g2, h]) + mats[s] @ r(g2, h)
+                       - r(s, g2) @ mats[h] + defect(s, g2, h) * mats[cay[g, h]])
+                worst = max(worst, np.abs(lhs - rhs).max())
+    assert worst < 1e-12
