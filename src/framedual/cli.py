@@ -180,7 +180,7 @@ def _cmd_validate(args) -> int:
     if args.rep_json:
         rep = serialize.rep_from_json(_maybe_load_json_arg("@" + args.rep_json))
         report = verify_rep(rep, tol=args.rep_tol)
-        _emit(args, "validate", {"representation": serialize.rep_verification_to_json(report)})
+        _emit(args, "validate", {"representation": serialize.report_to_json(report)})
         return EXIT_OK if report.passed else EXIT_INCONSISTENT
     group = serialize.parse_group_spec(_maybe_load_json_arg(group_spec))
     result: dict = {"group": {"label": group.label, "order": group.order}}
@@ -188,7 +188,7 @@ def _cmd_validate(args) -> int:
     if args.multiplier:
         mu = serialize.parse_multiplier_spec(group, _maybe_load_json_arg(args.multiplier))
         report = validate_multiplier(mu, tol=args.unit_tol)
-        result["multiplier"] = serialize.multiplier_validation_to_json(report)
+        result["multiplier"] = serialize.report_to_json(report)
         if not report.passed:
             code = EXIT_INCONSISTENT
     _emit(args, "validate", result)
@@ -201,7 +201,7 @@ def _cmd_classify(args) -> int:
     cls = classify(rep, vec, rank_tol=args.rank_tol, flag_tol=args.flag_tol)
     _emit(args, "classify", {
         "representation": rep.label,
-        "classification": serialize.classification_to_json(cls),
+        "classification": serialize.report_to_json(cls),
     })
     return EXIT_OK
 
@@ -229,7 +229,7 @@ def _cmd_certify_pair(args) -> int:
                                flag_tol=args.flag_tol)
     _emit(args, "certify-pair", {
         "pair": label,
-        "report": serialize.dual_pair_report_to_json(report),
+        "report": serialize.report_to_json(report),
     })
     return EXIT_OK if report.commuting.is_pair else EXIT_INCONSISTENT
 
@@ -241,7 +241,7 @@ def _cmd_verify_duality(args) -> int:
                              flag_tol=args.flag_tol, pair_tol=args.pair_tol)
     _emit(args, "verify-duality", {
         "pair": label,
-        "verdict": serialize.verdict_to_json(verdict),
+        "verdict": serialize.report_to_json(verdict),
     })
     return EXIT_OK if verdict.theorem_consistent else EXIT_INCONSISTENT
 
@@ -250,8 +250,8 @@ def _cmd_sweep(args) -> int:
     pi, sigma, label = serialize.resolve_pair_spec(_pair_spec_from_args(args))
     report = duality_sweep(pi, sigma, n_vectors=args.n, seed=args.seed,
                            rank_tol=args.rank_tol, flag_tol=args.flag_tol,
-                           pair_tol=args.pair_tol, jobs=args.jobs, label=label)
-    _emit(args, "sweep", serialize.sweep_report_to_json(report),
+                           pair_tol=args.pair_tol, label=label)
+    _emit(args, "sweep", serialize.report_to_json(report),
           csv_rows=serialize.sweep_report_to_csv_rows(report))
     return EXIT_OK if report.n_inconsistent == 0 else EXIT_INCONSISTENT
 
@@ -265,7 +265,7 @@ def _cmd_dilate(args) -> int:
     _emit(args, "dilate", {
         "representation": rep.label,
         "method": "randomized search, certified per return",
-        "dilation": serialize.dilation_to_json(result),
+        "dilation": serialize.report_to_json(result),
     })
     return EXIT_OK
 
@@ -286,7 +286,7 @@ def _cmd_gabor(args) -> int:
         verdict = verify_duality(pi, sigma, window, rank_tol=args.rank_tol,
                                  flag_tol=args.flag_tol, pair_tol=args.pair_tol)
         result["pair"] = label
-        result["window_verdict"] = serialize.verdict_to_json(verdict)
+        result["window_verdict"] = serialize.report_to_json(verdict)
         if args.zak:
             result["zak"] = serialize.matrix_to_json(zak_transform(window, lattice.a))
     code = EXIT_OK

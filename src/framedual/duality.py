@@ -202,7 +202,6 @@ def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
 def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
                    rank_tol: float = RANK_TOL, flag_tol: float = FLAG_TOL,
                    clauses: tuple[str, ...] = ALL_CLAUSES,
-                   check_pair: bool = True,
                    pair_tol: float = PAIR_TOL) -> DualityVerdict:
     """Classify one vector under both representations and compare the clause
     pattern the duality theorem asserts:
@@ -211,14 +210,13 @@ def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
       frame_riesz           pi-orbit frames the whole space  <->  sigma-orbit Riesz
       parseval_orthonormal  pi-orbit complete Parseval       <->  sigma-orbit orthonormal
 
-    The last two clauses presuppose a dual pair; callers that certified the
-    pair themselves pass check_pair=False to skip the built-in commuting
-    check.
+    The last two clauses presuppose a dual pair.  A pair that is not even
+    commuting raises InvalidPairError.
     """
     unknown = set(clauses) - set(ALL_CLAUSES)
     if unknown:
         raise InvalidParameterError(f"unknown clauses: {sorted(unknown)}")
-    if check_pair and not is_commuting_pair(pi, sigma, pair_tol, rank_tol).is_pair:
+    if not is_commuting_pair(pi, sigma, pair_tol, rank_tol).is_pair:
         raise InvalidPairError("representations do not form a commuting pair")
     x = np.asarray(xi, dtype=complex).reshape(-1)
     pc = classify(pi, x, rank_tol, flag_tol)
@@ -270,7 +268,6 @@ def adversarial_vectors(pi: ProjectiveRep, seed: int = 0,
 def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
                   seed: int = 0, rank_tol: float = RANK_TOL,
                   flag_tol: float = FLAG_TOL, pair_tol: float = PAIR_TOL,
-                  jobs: int = 1, include_adversarial: bool = True,
                   label: str = "") -> SweepReport:
     """Check the duality clauses on seeded random draws plus the adversarial
     set.
@@ -284,9 +281,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     meets an orthogonal but not orthonormal orbit on the other; and only the
     frame-sequence clause for commuting pairs that are not dual.  Draw i
     always uses substream (seed, i).  Vectors are classified in blocks of
-    SWEEP_BLOCK under both representations; verify_duality runs only on an
-    inconsistent vector, to build its counterexample.  ``jobs`` is accepted
-    and ignored, so reports are identical for any jobs count.
+    SWEEP_BLOCK under both representations, and an inconsistent vector's
+    counterexample is built from its rows of the two block classifications.
     """
     if n_vectors < 0:
         raise InvalidParameterError(f"number of random draws must be >= 0, got {n_vectors}")
@@ -303,7 +299,7 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     else:
         clauses = ("frame_sequence", "frame_riesz")
 
-    adversarial = adversarial_vectors(pi, seed, rank_tol=rank_tol) if include_adversarial else []
+    adversarial = adversarial_vectors(pi, seed, rank_tol=rank_tol)
 
     def blocks():
         for start in range(0, n_vectors, SWEEP_BLOCK):
@@ -323,7 +319,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
         sources = [source for source, keep in zip(sources, nonzero) if keep]
         pc = classify_block(pi, block, rank_tol, flag_tol)
         sc = classify_block(sigma, block, rank_tol, flag_tol)
-        consistent = np.all(list(_clause_results(pc, sc, clauses).values()), axis=0)
+        results = _clause_results(pc, sc, clauses)
+        consistent = np.all(list(results.values()), axis=0)
         n_consistent += int(np.count_nonzero(consistent))
         n_inconsistent += int(np.count_nonzero(~consistent))
         if "parseval_orthonormal" in clauses:
@@ -332,8 +329,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
                 gram_defect = max(gram_defect,
                                   float(np.abs(gram - np.eye(sigma.group.order)).max()))
         for k in np.flatnonzero(~consistent):
-            verdict = verify_duality(pi, sigma, block[k], rank_tol, flag_tol, clauses,
-                                     check_pair=False)
+            clause_row = {name: bool(row[k]) for name, row in results.items()}
+            verdict = DualityVerdict(block[k], pc.row(k), sc.row(k), clause_row, False)
             counterexamples.append(SweepCounterexample(sources[k], verdict.vector, verdict))
 
     return SweepReport(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .groups import Multiplier, cyclic_group, direct_product
+from .groups import cyclic_group, direct_product, time_frequency_multiplier
 from .reps import ProjectiveRep, monomial_rep
 
 
@@ -66,8 +66,7 @@ def gabor_rep(lattice: GaborLattice) -> ProjectiveRep:
     i = np.arange(n)
     perm = (i - b * k[:, None]) % n
     phase = np.exp(2j * np.pi * (a * m)[:, None] * i / n)
-    roots = np.exp(-2j * np.pi * np.arange(n) / n)  # looked up: one exp per residue
-    mu = Multiplier(group, roots[np.outer(b * k, a * m) % n])
+    mu = time_frequency_multiplier(group, b * k, a * m, n)
     return monomial_rep(group, mu, perm, phase, label=f"gabor[{n};{a},{b}]")
 
 

@@ -8,6 +8,7 @@ unit-modulus complex numbers twisting operator compositions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -236,6 +237,10 @@ def validate_multiplier(mu: Multiplier, tol: float = UNIT_TOL) -> MultiplierVali
     Constructions ask certify_multiplier first and come here only for a
     table it does not certify, so that the tables they accept and the
     counterexamples they reject with are this function's.
+
+    A NaN or infinite residual fails its check, so a non-finite entry is the
+    unit_modulus counterexample; max_residual is the largest finite
+    residual, which keeps the report standard JSON.
     """
     group, t = mu.group, mu.table
     n = group.order
@@ -243,52 +248,42 @@ def validate_multiplier(mu: Multiplier, tol: float = UNIT_TOL) -> MultiplierVali
     worst = 0.0
     counterexample = None
 
-    def note(kind, idx, residual):
+    def check(kind, residual, locate) -> bool:
         nonlocal worst, counterexample
-        if residual > worst:
-            worst = residual
-        if residual > tol and counterexample is None:
-            counterexample = (kind, idx)
+        residual = float(residual)
+        if math.isfinite(residual):
+            worst = max(worst, residual)
+        ok = residual <= tol
+        if not ok and counterexample is None:
+            counterexample = (kind, locate())
+        return ok
 
     mod_resid = np.abs(np.abs(t) - 1.0)
-    unit_ok = bool(mod_resid.max(initial=0.0) <= tol)
-    if not unit_ok:
-        g, h = np.unravel_index(int(mod_resid.argmax()), t.shape)
-        note("unit_modulus", (int(g), int(h)), float(mod_resid.max()))
-    else:
-        worst = max(worst, float(mod_resid.max(initial=0.0)))
+    unit_ok = check("unit_modulus", mod_resid.max(initial=0.0), lambda: _worst_at(mod_resid))
 
     e = group.identity
-    norm_resid = max(np.abs(t[:, e] - 1.0).max(), np.abs(t[e, :] - 1.0).max())
-    norm_ok = bool(norm_resid <= tol)
-    if not norm_ok:
-        g = int(np.abs(t[:, e] - 1.0).argmax())
-        note("normalization", (g,), float(norm_resid))
-    else:
-        worst = max(worst, float(norm_resid))
+    column = np.abs(t[:, e] - 1.0)
+    norm_ok = check("normalization", np.maximum(column.max(), np.abs(t[e, :] - 1.0).max()),
+                    lambda: _worst_at(column))
 
     cocycle_ok = True
-    for g1 in range(n):
-        resid = _cocycle_residuals(t, cay, g1)
-        m = float(resid.max())
-        if m > tol and cocycle_ok:
-            g2, g3 = np.unravel_index(int(resid.argmax()), resid.shape)
-            note("cocycle", (g1, int(g2), int(g3)), m)
-            cocycle_ok = False
-        worst = max(worst, m)
+    with np.errstate(invalid="ignore"):  # inf * 0 in a table with an infinite entry
+        for g1 in range(n):
+            resid = _cocycle_residuals(t, cay, g1)
+            cocycle_ok &= check("cocycle", resid.max(), lambda: (g1, *_worst_at(resid)))
 
     inv = group.inverse
     sym_resid = np.abs(t[np.arange(n), inv] - t[inv, np.arange(n)])
-    sym_ok = bool(sym_resid.max(initial=0.0) <= tol)
-    if not sym_ok:
-        g = int(sym_resid.argmax())
-        note("inverse_symmetry", (g,), float(sym_resid.max()))
-    else:
-        worst = max(worst, float(sym_resid.max(initial=0.0)))
+    sym_ok = check("inverse_symmetry", sym_resid.max(initial=0.0), lambda: _worst_at(sym_resid))
 
     passed = unit_ok and norm_ok and cocycle_ok and sym_ok
     return MultiplierValidation(passed, unit_ok, norm_ok, cocycle_ok, sym_ok,
                                 worst, counterexample, tol)
+
+
+def _worst_at(resid: np.ndarray) -> tuple[int, ...]:
+    """Index of the largest residual, or of the first NaN."""
+    return tuple(int(i) for i in np.unravel_index(int(resid.argmax()), resid.shape))
 
 
 def _cocycle_residuals(t: np.ndarray, cay: np.ndarray, g1: int) -> np.ndarray:
@@ -358,20 +353,31 @@ def trivial_multiplier(group: FiniteGroup) -> Multiplier:
     return Multiplier(group, np.ones((n, n), dtype=complex))
 
 
+def time_frequency_multiplier(group: FiniteGroup, shift, ramp, n: int) -> Multiplier:
+    """mu(g, h) = exp(-2 pi i (shift[g] ramp[h] mod n) / n), the scalar that
+    T^shift[g] picks up moving past M^ramp[h] on C^n.
+
+    The exponent is reduced mod n and the table looked up among the n-th
+    roots of unity, one exp per residue, so every entry carries the roundoff
+    of one root whatever the size of shift[g] ramp[h].
+    """
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    return Multiplier(group, roots[np.outer(shift, ramp) % n])
+
+
 def heisenberg_multiplier(n: int) -> Multiplier:
     """Time-frequency cocycle on Z_n x Z_n.
 
     With elements indexed (m, k) -> m*n + k, the table is
     exp(-2 pi i * k * m' / n), the scalar picked up when a translation power
-    moves past a modulation power on C^n.
+    moves past a modulation power on C^n: the cocycle of the full Gabor
+    lattice (n, 1, 1).
     """
     if n < 1:
         raise InvalidParameterError("need n >= 1")
     group = direct_product(cyclic_group(n), cyclic_group(n))
-    idx = np.arange(n * n)
-    m, k = idx // n, idx % n
-    table = np.exp(-2j * np.pi * np.outer(k, m) / n)
-    return Multiplier(group, table)
+    m, k = np.divmod(np.arange(n * n), n)
+    return time_frequency_multiplier(group, k, m, n)
 
 
 def conjugate_multiplier(mu: Multiplier) -> Multiplier:

@@ -295,7 +295,7 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
         g = int(not_perm[0])
         raise NotProjectiveError(f"perm[{g}] is not a permutation; pi({g}) is not unitary")
     modulus_off = np.abs(np.abs(ph) - 1.0)
-    if modulus_off.max() > REP_TOL:
+    if not modulus_off.max() <= REP_TOL:  # a NaN phase fails too
         g, i = np.unravel_index(int(modulus_off.argmax()), ph.shape)
         raise NotProjectiveError(
             f"phase[{g}, {i}] has modulus {abs(ph[g, i]):.6f}; pi({g}) is not unitary"
@@ -310,7 +310,7 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
                     f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
                     f"entry in column {support[h, i]}, not {target[h, i]}"
                 )
-            if resid.max() > REP_TOL:
+            if not resid.max() <= REP_TOL:
                 h, i = np.unravel_index(int(resid.argmax()), resid.shape)
                 raise NotProjectiveError(
                     f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "

@@ -5,31 +5,29 @@ Complex scalars travel as [re, im] pairs.  A matrix is
 {"rows": r, "cols": c, "entries": [[re, im], ...]} with entries row-major; a
 vector is a flat list whose items may be numbers or [re, im] pairs.  Groups
 travel as {"order", "cayley", "label"} and are fully re-validated on ingest.
+Reports (classifications, validations, verdicts, sweeps, dilations) are
+written by one encoder, report_to_json, that follows their dataclass fields.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .duality import (
-    CommutingPairCheck,
     DualityVerdict,
-    DualPairReport,
     SweepReport,
     make_gabor_pair,
     make_regular_pair,
     make_regular_subpair,
 )
 from .errors import InvalidParameterError
-from .frames import DilationResult, FrameClassification
 from .gabor import GaborLattice, adjoint_lattice, gabor_rep
 from .groups import (
     FiniteGroup,
     Multiplier,
-    MultiplierValidation,
     cyclic_group,
     direct_product,
     from_cayley_table,
@@ -38,13 +36,11 @@ from .groups import (
 )
 from .reps import (
     ProjectiveRep,
-    RepVerification,
     character_subrep,
     left_regular,
     right_regular,
     verify_rep,
 )
-from .vonneumann import OperatorSubspace
 
 
 def _reader(fn):
@@ -153,98 +149,29 @@ def rep_from_json(doc) -> ProjectiveRep:
     return ProjectiveRep(group, mu, mats, label=str(doc.get("label", "pi")))
 
 
-def operator_subspace_to_json(space: OperatorSubspace, generators: str | None = None,
-                              tolerance: float | None = None) -> dict:
-    return {
-        "ambient_dim": space.ambient_dim,
-        "dimension": space.dim,
-        "generators": generators,
-        "tolerance": tolerance,
-        "basis": [matrix_to_json(b) for b in space.basis],
-    }
+# Report fields whose wire key differs from the field name.
+_WIRE_KEYS = {
+    (SweepReport, "label"): "pair",
+    (DualityVerdict, "pi_classification"): "pi",
+    (DualityVerdict, "sigma_classification"): "sigma",
+    (DualityVerdict, "clause_results"): "clauses",
+}
 
 
-def classification_to_json(c: FrameClassification) -> dict:
-    return asdict(c)
-
-
-def multiplier_validation_to_json(r: MultiplierValidation) -> dict:
-    doc = asdict(r)
-    if r.counterexample is not None:
-        doc["counterexample"] = [r.counterexample[0], list(r.counterexample[1])]
-    return doc
-
-
-def rep_verification_to_json(r: RepVerification) -> dict:
-    doc = asdict(r)
-    if r.worst_pair is not None:
-        doc["worst_pair"] = list(r.worst_pair)
-    return doc
-
-
-def commuting_check_to_json(c: CommutingPairCheck) -> dict:
-    return asdict(c)
-
-
-def dual_pair_report_to_json(r: DualPairReport) -> dict:
-    return {
-        "commuting": commuting_check_to_json(r.commuting),
-        "frame_vector": None if r.frame_vector is None else vector_to_json(r.frame_vector),
-        "frame_vector_sigma_bessel": r.frame_vector_sigma_bessel,
-        "parseval_frame_vector": (None if r.parseval_frame_vector is None
-                                  else vector_to_json(r.parseval_frame_vector)),
-        "riesz_vector": None if r.riesz_vector is None else vector_to_json(r.riesz_vector),
-        "feasible": r.feasible,
-        "infeasibility": r.infeasibility,
-        "notes": r.notes,
-        "seed": r.seed,
-        "n_samples": r.n_samples,
-    }
-
-
-def verdict_to_json(v: DualityVerdict) -> dict:
-    return {
-        "vector": vector_to_json(v.vector),
-        "pi": classification_to_json(v.pi_classification),
-        "sigma": classification_to_json(v.sigma_classification),
-        "clauses": dict(v.clause_results),
-        "theorem_consistent": v.theorem_consistent,
-    }
-
-
-def sweep_report_to_json(r: SweepReport) -> dict:
-    return {
-        "pair": r.label,
-        "seed": r.seed,
-        "clauses": list(r.clauses),
-        "n_random": r.n_random,
-        "n_adversarial": r.n_adversarial,
-        "n_skipped": r.n_skipped,
-        "n_consistent": r.n_consistent,
-        "n_inconsistent": r.n_inconsistent,
-        "feasible": r.feasible,
-        "commuting_residual": r.commuting_residual,
-        "parseval_gram_defect": r.parseval_gram_defect,
-        "rank_tolerance": r.rank_tolerance,
-        "flag_tolerance": r.flag_tolerance,
-        "counterexamples": [
-            {
-                "source": ce.source,
-                "vector": vector_to_json(ce.vector),
-                "verdict": verdict_to_json(ce.verdict),
-            }
-            for ce in r.counterexamples
-        ],
-    }
-
-
-def dilation_to_json(d: DilationResult) -> dict:
-    return {
-        "h": vector_to_json(d.h),
-        "vector": vector_to_json(d.vector),
-        "mode": d.mode,
-        "tries": d.tries,
-    }
+def report_to_json(obj):
+    """The JSON document of a report: dataclasses become objects keyed by
+    field name (or its wire key), tuples and lists become lists, arrays
+    become vectors of [re, im] pairs, and scalars pass through."""
+    if is_dataclass(obj):
+        return {_WIRE_KEYS.get((type(obj), f.name), f.name): report_to_json(getattr(obj, f.name))
+                for f in fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return vector_to_json(obj)
+    if isinstance(obj, (list, tuple)):
+        return [report_to_json(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: report_to_json(value) for key, value in obj.items()}
+    return obj
 
 
 def sweep_report_to_csv_rows(r: SweepReport) -> list[list]:

@@ -166,8 +166,7 @@ def per_vector_sweep(pi, sigma, report, n_vectors, seed, flag_tol):
         if np.linalg.norm(vec) == 0.0:
             skipped += 1
             continue
-        verdict = verify_duality(pi, sigma, vec, flag_tol=flag_tol, clauses=report.clauses,
-                                 check_pair=False)
+        verdict = verify_duality(pi, sigma, vec, flag_tol=flag_tol, clauses=report.clauses)
         consistent += verdict.theorem_consistent
         if not verdict.theorem_consistent:
             counterexamples.append((source, verdict))

@@ -37,6 +37,28 @@ def test_validate_detects_broken_multiplier(tmp_path):
     assert doc["result"]["multiplier"]["passed"] is False
 
 
+def test_nan_multiplier_document(tmp_path, capsys):
+    g = cyclic_group(3)
+    table = np.ones((3, 3), dtype=complex)
+    table[1, 2] = np.nan
+    mu_file = tmp_path / "nan.json"
+    mu_file.write_text(json.dumps(serialize.multiplier_to_json(Multiplier(g, table))))
+    code, text = run(tmp_path, "validate", "--group", "Z3", "--multiplier", f"@{mu_file}")
+    assert code == 1
+
+    def reject(token):
+        raise AssertionError(f"{token} in a report")
+
+    doc = json.loads(text, parse_constant=reject)["result"]["multiplier"]
+    assert doc["passed"] is False and doc["unit_modulus_ok"] is False
+    assert doc["counterexample"] == ["unit_modulus", [1, 2]]
+    capsys.readouterr()
+    code, _ = run(tmp_path, "classify", "--group", "Z3", "--multiplier", f"@{mu_file}",
+                  "--vector", "1,0,0")
+    assert code == 2
+    assert "first counterexample ('unit_modulus', (1, 2))" in capsys.readouterr().err
+
+
 def test_classify_degenerate_gabor_window(tmp_path):
     code, text = run(tmp_path, "classify", "--rep", "gabor", "--lattice", "4,1,2",
                      "--window", "1,0,1,0")

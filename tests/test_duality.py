@@ -160,7 +160,7 @@ def test_verify_duality_clause_failure_on_non_dual_pair():
     pi, sigma = make_regular_subpair(g, mu, p)
     rng = substream(11, 0)
     xi = random_complex_vector(rng, 3)
-    verdict = verify_duality(pi, sigma, xi, check_pair=False)
+    verdict = verify_duality(pi, sigma, xi)
     assert verdict.pi_classification.is_complete_frame
     assert not verdict.sigma_classification.is_riesz_sequence
     assert verdict.clause_results["frame_riesz"] is False
@@ -185,15 +185,6 @@ def test_sweep_heisenberg_pair_consistent():
     report = duality_sweep(lam, rho, n_vectors=40, seed=6)
     assert report.n_inconsistent == 0
     assert report.feasible
-
-
-def test_sweep_jobs_do_not_change_results():
-    g = cyclic_group(8)
-    mu = trivial_multiplier(g)
-    lam, rho = make_regular_pair(g, mu)
-    serial = duality_sweep(lam, rho, n_vectors=24, seed=9, jobs=1)
-    threaded = duality_sweep(lam, rho, n_vectors=24, seed=9, jobs=4)
-    assert serial == threaded
 
 
 def test_sweep_infeasible_pair_downgrades_clauses():
@@ -251,8 +242,7 @@ def test_gabor_full_lattice_duality_degenerates():
     assert report.n_inconsistent == 0
     rng = substream(21, 0)
     g = random_complex_vector(rng, 6)
-    verdict = verify_duality(pi, sigma, g, check_pair=False,
-                             clauses=("frame_riesz",))
+    verdict = verify_duality(pi, sigma, g, clauses=("frame_riesz",))
     assert verdict.pi_classification.is_complete_frame
     assert verdict.sigma_classification.is_riesz_sequence
 

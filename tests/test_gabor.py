@@ -55,6 +55,14 @@ def test_gabor_rep_full_lattice_multiplier():
                                atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 8, 28])
+def test_heisenberg_multiplier_is_the_full_lattice_cocycle_bit_for_bit(n):
+    # one time-frequency cocycle: heisenberg_multiplier(n) and the cocycle
+    # gabor_rep writes down for (n, 1, 1) are the same lookup table
+    table = gabor_rep(GaborLattice(n, 1, 1)).multiplier.table
+    assert np.array_equal(heisenberg_multiplier(n).table, table)
+
+
 def test_gabor_rep_trivial_lattice():
     rep = gabor_rep(GaborLattice(4, 4, 4))
     assert rep.group.order == 1

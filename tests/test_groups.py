@@ -373,3 +373,21 @@ def test_certificate_declines_what_it_cannot_decide():
     assert not validate_multiplier(Multiplier(mu.group, table)).passed
     table = mu.table * 1.5  # off the unit circle
     assert not certify_multiplier(Multiplier(mu.group, table))
+
+
+@pytest.mark.parametrize("entry", [np.nan, complex(np.nan, 0.0), np.inf, complex(0.0, -np.inf)])
+def test_validate_multiplier_names_a_non_finite_entry(entry):
+    mu = heisenberg_multiplier(4)
+    table = mu.table.copy()
+    table[3, 5] = entry
+    report = validate_multiplier(Multiplier(mu.group, table))
+    assert not report.passed and not report.unit_modulus_ok and not report.cocycle_ok
+    assert report.counterexample == ("unit_modulus", (3, 5))
+    assert np.isfinite(report.max_residual)
+
+
+def test_time_frequency_cocycle_certifies_at_every_size():
+    # the exponent is reduced mod N before the lookup, so the roundoff of
+    # the table does not grow with N and never reaches the certificate's gate
+    for n in range(2, 41):
+        assert certify_multiplier(heisenberg_multiplier(n)), n

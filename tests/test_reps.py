@@ -258,6 +258,22 @@ def test_monomial_rep_rejects_phase_off_unit_circle():
         monomial_rep(group, mu, perm, phase)
 
 
+def test_monomial_rep_rejects_nan_phase():
+    group, mu, perm, phase = mutated()
+    phase[4, 1] = np.nan
+    with pytest.raises(NotProjectiveError, match="modulus"):
+        monomial_rep(group, mu, perm, phase)
+
+
+def nan_cocycle(perm, phase, table, g):
+    table[g, 3] = np.nan
+
+
+def test_monomial_rep_nan_cocycle_entry_fails_the_composition_gate():
+    with pytest.raises(NotProjectiveError, match="differs from mu"):
+        monomial_rep(*mutated(nan_cocycle, 2))
+
+
 def test_monomial_rep_rejects_malformed_inputs():
     group, mu, perm, phase = mutated()
     with pytest.raises(InvalidParameterError):

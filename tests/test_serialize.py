@@ -116,7 +116,7 @@ def test_sweep_report_round_trip_through_json():
     g = cyclic_group(4)
     lam, rho = make_regular_pair(g, trivial_multiplier(g))
     report = duality_sweep(lam, rho, n_vectors=5, seed=1)
-    doc = serialize.sweep_report_to_json(report)
+    doc = serialize.report_to_json(report)
     assert doc["n_inconsistent"] == 0
     assert doc["clauses"] == ["frame_sequence", "frame_riesz", "parseval_orthonormal"]
     rows = serialize.sweep_report_to_csv_rows(report)
@@ -142,7 +142,7 @@ def test_sweep_counterexample_dump_format():
     report = dataclasses.replace(
         report, n_inconsistent=1,
         counterexamples=[SweepCounterexample("forced", vec, broken)])
-    doc = serialize.sweep_report_to_json(report)
+    doc = serialize.report_to_json(report)
     assert doc["counterexamples"][0]["source"] == "forced"
     assert doc["counterexamples"][0]["verdict"]["clauses"] == {"frame_riesz": False}
     assert serialize.vector_from_json(
