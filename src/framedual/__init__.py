@@ -36,7 +36,6 @@ from .errors import (
     SearchExhaustedError,
 )
 from .frames import (
-    AnalysisOperator,
     BlockClassification,
     DilationResult,
     FrameClassification,

@@ -30,6 +30,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 import traceback
@@ -38,23 +39,13 @@ import numpy as np
 
 from . import __version__
 from . import serialize
-from .duality import certify_dual_pair, duality_sweep, verify_duality
-from .errors import (
-    ConstructionFailureError,
-    FrameDualError,
-    InvalidParameterError,
-    InvalidPairError,
-    NoWitnessError,
-    NotProjectiveError,
-    ParameterizationError,
-    RouteDisagreementError,
-    SearchExhaustedError,
-)
+from .duality import PAIR_TOL, certify_dual_pair, duality_sweep, verify_duality
+from .errors import FrameDualError, InvalidPairError, InvalidParameterError, SearchExhaustedError
 from .frames import FLAG_TOL, ROUTE_TOL, classify, dilate_to_complete
 from .gabor import adjoint_lattice, zak_transform
-from .groups import validate_multiplier
+from .groups import UNIT_TOL, validate_multiplier
 from .linalg import RANK_TOL
-from .reps import verify_rep
+from .reps import REP_TOL, verify_rep
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -302,7 +293,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rank-tol", type=float, default=RANK_TOL, dest="rank_tol")
     parser.add_argument("--flag-tol", type=float, default=FLAG_TOL, dest="flag_tol")
-    parser.add_argument("--pair-tol", type=float, default=1e-8, dest="pair_tol")
+    parser.add_argument("--pair-tol", type=float, default=PAIR_TOL, dest="pair_tol")
     parser.add_argument("--route-tol", type=float, default=ROUTE_TOL, dest="route_tol")
     parser.add_argument("--config", help="JSON file whose keys override these flags")
 
@@ -344,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--N", type=int)
     p.add_argument("--rep-json", dest="rep_json")
-    p.add_argument("--unit-tol", type=float, default=1e-12, dest="unit_tol")
-    p.add_argument("--rep-tol", type=float, default=1e-10, dest="rep_tol")
+    p.add_argument("--unit-tol", type=float, default=UNIT_TOL, dest="unit_tol")
+    p.add_argument("--rep-tol", type=float, default=REP_TOL, dest="rep_tol")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
@@ -435,6 +426,16 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
             setattr(args, attr, value)
 
 
+def _check_tolerances(args) -> None:
+    """Every tolerance the subcommand takes must be finite and positive: a
+    NaN gate passes nothing, an infinite one everything."""
+    for name in ("rank_tol", "flag_tol", "pair_tol", "route_tol", "unit_tol", "rep_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InvalidParameterError(
+                f"--{name.replace('_', '-')} must be finite and > 0, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -444,6 +445,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         _apply_config(parser, args)
+        _check_tolerances(args)
         code = args.func(args)
     except (InvalidParameterError, InvalidPairError, OSError,
             json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
@@ -452,8 +454,7 @@ def main(argv=None) -> int:
     except SearchExhaustedError as exc:  # more tries may succeed: not a counterexample
         print(f"framedual: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SEARCH_EXHAUSTED
-    except (RouteDisagreementError, ConstructionFailureError, NotProjectiveError,
-            NoWitnessError, ParameterizationError, FrameDualError) as exc:
+    except FrameDualError as exc:
         print(f"framedual: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except Exception:  # neither bad input nor a counterexample: a fault of the program

@@ -240,11 +240,10 @@ def _clause_results(pc, sc, clauses: tuple[str, ...]) -> dict:
 
 
 def adversarial_vectors(pi: ProjectiveRep, seed: int = 0,
-                        n_parseval: int = 3,
                         rank_tol: float = RANK_TOL) -> list[tuple[str, np.ndarray]]:
     """Deterministic stress vectors for a sweep: every basis vector, a flat
     vector, simple two-point windows (which collapse orbits on structured
-    lattices), Parseval-normalized random draws, and the zero vector."""
+    lattices), three Parseval-normalized random draws, and the zero vector."""
     d = pi.dim
     out: list[tuple[str, np.ndarray]] = []
     eye = np.eye(d, dtype=complex)
@@ -258,7 +257,7 @@ def adversarial_vectors(pi: ProjectiveRep, seed: int = 0,
             out.append((f"two-point[0,{half}]", (eye[0] + eye[half]) / np.sqrt(2)))
         alternating = np.array([(-1.0) ** k for k in range(d)], dtype=complex)
         out.append(("alternating", alternating / np.sqrt(d)))
-    for i in range(n_parseval):
+    for i in range(3):
         xi = random_complex_vector(substream(seed, i), d)
         out.append((f"parseval-normalized[{i}]", parseval_normalize(pi, xi, rank_tol)))
     out.append(("zero", np.zeros(d, dtype=complex)))

@@ -56,18 +56,6 @@ FLAG_TOL = 1e-8    # gate for Parseval / orthonormal flags
 ROUTE_TOL = 1e-7   # principal-angle gate shared by both routes of the dual checks
 
 
-@dataclass(frozen=True, repr=False)
-class AnalysisOperator:
-    """Matrix of the analysis map y -> (<y, pi(g) xi>)_g, with provenance."""
-
-    matrix: np.ndarray  # shape (|G|, dim); row g = conj(pi(g) xi)
-    rep: ProjectiveRep
-    vector: np.ndarray
-
-    def __repr__(self):
-        return f"AnalysisOperator({self.rep.label!r}, shape={self.matrix.shape})"
-
-
 @dataclass(frozen=True)
 class FrameClassification:
     """Spectral verdict on an orbit {pi(g) xi}.
@@ -98,9 +86,10 @@ def _orbit(rep: ProjectiveRep, xi) -> np.ndarray:
     return rep.matrices @ x  # shape (|G|, dim)
 
 
-def analysis_op(rep: ProjectiveRep, xi) -> AnalysisOperator:
-    orbit = _orbit(rep, xi)
-    return AnalysisOperator(orbit.conj(), rep, np.asarray(xi, dtype=complex).reshape(-1))
+def analysis_op(rep: ProjectiveRep, xi) -> np.ndarray:
+    """Matrix of the analysis map y -> (<y, pi(g) xi>)_g, shape (|G|, dim);
+    row g is conj(pi(g) xi)."""
+    return _orbit(rep, xi).conj()
 
 
 def frame_operator(rep: ProjectiveRep, xi) -> np.ndarray:
@@ -218,27 +207,20 @@ def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np
 
 def theta_range(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> Subspace:
     """Range of the analysis operator inside the coefficient space C^|G|."""
-    theta = analysis_op(rep, xi).matrix
-    return rank_and_range(theta, rank_tol)[1]
+    return rank_and_range(analysis_op(rep, xi), rank_tol)[1]
 
 
-def commutant_orbit(rep: ProjectiveRep, xi,
-                    comm: vonneumann.OperatorSubspace | None = None,
-                    rank_tol: float = RANK_TOL) -> Subspace:
+def commutant_orbit(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> Subspace:
     """Span of {K xi : K in the commutant of pi(G)}."""
     x = np.asarray(xi, dtype=complex).reshape(-1)
-    if comm is None:
-        comm = rep.commutant()
-    cols = (comm.basis @ x).T  # (dim, k)
+    cols = (rep.commutant().basis @ x).T  # (dim, k)
     return rank_and_range(cols, rank_tol)[1]
 
 
-def _dual_route(rep, x, y, predicate, tol, comm, rank_tol):
+def _dual_route(rep, x, y, predicate, tol, rank_tol):
     r1 = predicate(theta_range(rep, x, rank_tol), theta_range(rep, y, rank_tol), tol)
-    if comm is None:
-        comm = rep.commutant()
-    r2 = predicate(commutant_orbit(rep, x, comm, rank_tol),
-                   commutant_orbit(rep, y, comm, rank_tol), tol)
+    r2 = predicate(commutant_orbit(rep, x, rank_tol),
+                   commutant_orbit(rep, y, rank_tol), tol)
     if r1 != r2:
         raise RouteDisagreementError(
             f"analysis-range route says {r1} but commutant-orbit route says {r2} "
@@ -248,29 +230,27 @@ def _dual_route(rep, x, y, predicate, tol, comm, rank_tol):
 
 
 def pi_orthogonal(rep: ProjectiveRep, x, y, tol: float = ROUTE_TOL,
-                  comm: vonneumann.OperatorSubspace | None = None,
                   rank_tol: float = RANK_TOL) -> bool:
     """True iff the ranges of the two analysis operators are orthogonal.
 
     Verified along two routes (analysis ranges, commutant orbits); raises
     RouteDisagreementError if they differ.
     """
-    return _dual_route(rep, x, y, subspace_perp, tol, comm, rank_tol)
+    return _dual_route(rep, x, y, subspace_perp, tol, rank_tol)
 
 
 def pi_weakly_equivalent(rep: ProjectiveRep, x, y, tol: float = ROUTE_TOL,
-                         comm: vonneumann.OperatorSubspace | None = None,
                          rank_tol: float = RANK_TOL) -> bool:
     """True iff the two analysis operators have the same range closure,
     checked along the same two routes as pi_orthogonal."""
-    return _dual_route(rep, x, y, subspace_equal, tol, comm, rank_tol)
+    return _dual_route(rep, x, y, subspace_equal, tol, rank_tol)
 
 
-def is_frame_representation(rep: ProjectiveRep, seed: int = 0, tries: int = 3,
+def is_frame_representation(rep: ProjectiveRep, seed: int = 0,
                             rank_tol: float = RANK_TOL) -> bool:
     """A representation admits a complete frame vector iff a generic orbit
-    spans; a few seeded draws decide this reliably."""
-    for t in range(tries):
+    spans; three seeded draws decide this reliably."""
+    for t in range(3):
         xi = random_complex_vector(substream(seed, 900_000 + t), rep.dim)
         if classify(rep, xi, rank_tol).is_complete_frame:
             return True
@@ -322,10 +302,9 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
         )
 
     base = parseval_normalize(rep, x, rank_tol) if mode == "parseval" else x
-    comm = rep.commutant()
 
     def certified(h, tries):
-        if not pi_orthogonal(rep, base, h, route_tol, comm, rank_tol):
+        if not pi_orthogonal(rep, base, h, route_tol, rank_tol):
             return None
         target = base + h
         cls = classify(rep, target, rank_tol, flag_tol)
@@ -341,7 +320,7 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     if result is not None:
         return result
 
-    away_from = commutant_orbit(rep, base, comm, rank_tol).complement().projector()
+    away_from = commutant_orbit(rep, base, rank_tol).complement().projector()
     orbit_cols = (rep.matrices @ base).T
     span_perp = rank_and_range(orbit_cols, rank_tol)[1].complement().projector()
 
@@ -378,16 +357,14 @@ def orthogonal_range_witness(rep: ProjectiveRep, xi, eta_riesz,
     """
     if not classify(rep, eta_riesz, rank_tol).is_riesz_sequence:
         raise InvalidParameterError("eta_riesz does not generate a Riesz sequence")
-    theta_xi = analysis_op(rep, xi).matrix
-    rank, rng_sub = rank_and_range(theta_xi, rank_tol)
+    rank, rng_sub = rank_and_range(analysis_op(rep, xi), rank_tol)
     n = rep.group.order
     if rank == n:
         raise NoWitnessError("analysis range of xi is already the whole space")
     chi_e = np.zeros(n, dtype=complex)
     chi_e[rep.group.identity] = 1.0
     residual_coeff = chi_e - rng_sub.projector() @ chi_e
-    theta_eta = analysis_op(rep, eta_riesz).matrix
-    x = np.linalg.pinv(theta_eta) @ residual_coeff
+    x = np.linalg.pinv(analysis_op(rep, eta_riesz)) @ residual_coeff
     if np.linalg.norm(x) < 1e-12:
         raise ConstructionFailureError("witness collapsed to zero unexpectedly")
     if not pi_orthogonal(rep, x, xi, route_tol, rank_tol=rank_tol):
@@ -413,7 +390,6 @@ def _polar_partial_isometry(x: np.ndarray, rank_tol: float) -> np.ndarray:
 
 def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
                         tol: float = 1e-9,
-                        algebra: vonneumann.OperatorSubspace | None = None,
                         rank_tol: float = RANK_TOL, seed: int = 0,
                         max_tries: int = 8) -> np.ndarray:
     """Solve eta = A xi with A in the von Neumann algebra generated by the
@@ -438,8 +414,7 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
         raise InvalidParameterError("vector lengths do not match representation dim")
     if max_tries < 0:
         raise InvalidParameterError(f"number of tries must be >= 0, got {max_tries}")
-    if algebra is None:
-        algebra = rep.algebra(rank_tol)
+    algebra = rep.algebra(rank_tol)
     cols = (algebra.basis @ x).T  # (dim, k)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     a = np.tensordot(coeffs, algebra.basis, axes=(0, 0))

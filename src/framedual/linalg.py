@@ -35,13 +35,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def as_vector(v) -> np.ndarray:
-    x = np.asarray(v, dtype=complex).reshape(-1)
-    if x.size and not np.all(np.isfinite(x)):
-        raise InvalidParameterError("vector entries must be finite")
-    return x
-
-
 def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix or of a stack of them.
 
@@ -118,15 +111,12 @@ class Subspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_columns(cls, cols, ambient_dim: int | None = None,
-                     rank_tol: float = RANK_TOL) -> "Subspace":
+    def from_columns(cls, cols, rank_tol: float = RANK_TOL) -> "Subspace":
         """Orthonormalize the span of the given columns (rank-revealing)."""
         c = np.asarray(cols, dtype=complex)
         if c.ndim == 1:
             c = c[:, None]
-        d = c.shape[0] if ambient_dim is None else ambient_dim
-        if c.shape[0] != d:
-            raise InvalidParameterError("column length does not match ambient dimension")
+        d = c.shape[0]
         if c.shape[1] == 0 or not np.any(c):
             return cls(d, np.zeros((d, 0), dtype=complex))
         u, s, _ = np.linalg.svd(c, full_matrices=False)
@@ -187,13 +177,10 @@ def subspace_perp(s1: Subspace, s2: Subspace, tol: float = 1e-8) -> bool:
 
 
 def rank_and_range(a, rank_tol: float = RANK_TOL) -> tuple[int, Subspace]:
-    """Numerical rank and an orthonormal basis of the column space."""
-    m = as_matrix(a)
-    if m.shape[1] == 0 or not np.any(m):
-        return 0, Subspace(m.shape[0], np.zeros((m.shape[0], 0), dtype=complex))
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    rank = int(np.count_nonzero(s > rank_tol * s[0]))
-    return rank, Subspace(m.shape[0], u[:, :rank])
+    """Numerical rank and an orthonormal basis of the column space of a
+    finite matrix."""
+    sub = Subspace.from_columns(as_matrix(a), rank_tol)
+    return sub.dim, sub
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -59,9 +59,6 @@ class ProjectiveRep:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
     def group_average(self) -> np.ndarray:
         """The d^2 x d^2 matrix of E(X) = |G|^-1 sum_g pi(g) X pi(g)* acting
         on row-major vec(X): sum_g pi(g) (x) conj(pi(g)) / |G|."""
@@ -428,10 +425,10 @@ def character_subrep(n: int, freqs) -> ProjectiveRep:
     representation of Z_n to the span of the DFT vectors with those
     frequencies.
     """
+    group = cyclic_group(n)
     ks = sorted({int(k) % n for k in freqs})
     if not ks:
         raise InvalidParameterError("frequency set must be nonempty")
-    group = cyclic_group(n)
     g = np.arange(n)[:, None]
     phases = np.exp(2j * np.pi * g * np.asarray(ks)[None, :] / n)  # (n, |E|)
     mats = np.zeros((n, len(ks), len(ks)), dtype=complex)

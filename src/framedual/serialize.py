@@ -21,7 +21,6 @@ from .duality import (
     SweepReport,
     make_gabor_pair,
     make_regular_pair,
-    make_regular_subpair,
 )
 from .errors import InvalidParameterError
 from .gabor import GaborLattice, adjoint_lattice, gabor_rep
@@ -302,10 +301,6 @@ def resolve_pair_spec(doc: dict):
         mu = parse_multiplier_spec(group, doc.get("multiplier", "trivial"))
         mu_name = doc.get("multiplier", "trivial")
         mu_label = mu_name if isinstance(mu_name, str) else "custom"
-        if doc.get("projection") is not None:
-            projection = matrix_from_json(doc["projection"])
-            pi, sigma = make_regular_subpair(group, mu, projection)
-            return pi, sigma, f"regular[{group.label},{mu_label}]|P"
         pi, sigma = make_regular_pair(group, mu)
         return pi, sigma, f"regular[{group.label},{mu_label}]"
     if kind == "gabor":

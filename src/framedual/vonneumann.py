@@ -54,19 +54,16 @@ class OperatorSubspace:
         return self.basis.shape[0]
 
     @classmethod
-    def from_matrices(cls, mats, ambient_dim: int | None = None,
-                      rank_tol: float = RANK_TOL) -> "OperatorSubspace":
+    def from_matrices(cls, mats, rank_tol: float = RANK_TOL) -> "OperatorSubspace":
         """HS-orthonormalize the span of the given matrices."""
         m = np.asarray(mats, dtype=complex)
         if m.ndim == 2:
             m = m[None]
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise InvalidParameterError("expected square matrices")
-        d = m.shape[1] if ambient_dim is None else ambient_dim
+        d = m.shape[1]
         if m.shape[0] == 0:
             return cls(np.zeros((0, d, d), dtype=complex))
-        if m.shape[1] != d:
-            raise InvalidParameterError("matrix size does not match ambient dimension")
         sub = Subspace.from_columns(m.reshape(m.shape[0], d * d).T, rank_tol=rank_tol)
         return cls(sub.basis.T.reshape(sub.dim, d, d))
 
@@ -128,20 +125,18 @@ def operator_subspaces_equal(s1: OperatorSubspace, s2: OperatorSubspace,
     return subspace_equal(s1.vectorized(), s2.vectorized(), tol)
 
 
-def center(space: OperatorSubspace, rank_tol: float = RANK_TOL,
-           check_algebra: bool = True) -> OperatorSubspace:
+def center(space: OperatorSubspace, rank_tol: float = RANK_TOL) -> OperatorSubspace:
     """Intersection of an algebra with its commutant.
 
     The intersection is the joint null space of the two stacked
     complement projectors, which stays stable when the bases are nearly
     aligned.  Inputs that are not double-commutant-stable are rejected.
     """
-    if check_algebra:
-        generated = double_commutant(space.basis, rank_tol)
-        if not operator_subspaces_equal(space, generated):
-            raise InvalidParameterError(
-                "input span is not an algebra (not double-commutant stable)"
-            )
+    generated = double_commutant(space.basis, rank_tol)
+    if not operator_subspaces_equal(space, generated):
+        raise InvalidParameterError(
+            "input span is not an algebra (not double-commutant stable)"
+        )
     comm = commutant(space.basis, rank_tol)
     d = space.ambient_dim
     d2 = d * d

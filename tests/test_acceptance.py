@@ -158,7 +158,6 @@ def test_criterion_5_dual_route_agreement():
     disagreements = 0
     total = 0
     for rep_idx, (label, rep) in enumerate(_criterion5_reps()):
-        comm = rep.commutant()
         for i in range(500):
             rng = substream(500, rep_idx * 1000 + i)
             x = random_complex_vector(rng, rep.dim)
@@ -166,7 +165,7 @@ def test_criterion_5_dual_route_agreement():
             for predicate in (pi_orthogonal, pi_weakly_equivalent):
                 total += 1
                 try:
-                    predicate(rep, x, y, tol=1e-7, comm=comm, rank_tol=RANK_TOL)
+                    predicate(rep, x, y, tol=1e-7, rank_tol=RANK_TOL)
                 except RouteDisagreementError:
                     disagreements += 1
     _report(5, disagreements == 0,

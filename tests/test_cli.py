@@ -199,6 +199,7 @@ def test_reports_identical_across_runs(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["--rep", "character", "--N", "8", "--freqs", "1,x", "--vector", "1,0"],
     ["--rep", "gabor", "--lattice", "4,x,2", "--vector", "1,0,0,0"],
+    ["--rep", "character", "--N", "0", "--freqs", "1", "--vector", "1"],
 ])
 def test_unparseable_list_flags_exit_2(capsys, argv):
     assert main(["classify", *argv]) == 2
@@ -206,13 +207,31 @@ def test_unparseable_list_flags_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("overrides", [{"n": "abc"}, {"n": 2.5}, {"jobs": True},
-                                       {"pair": "nonsense"}, {"func": "x"}, ["n"]])
+                                       {"pair": "nonsense"}, {"func": "x"}, ["n"],
+                                       {"rank_tol": float("nan")}, {"pair_tol": 0},
+                                       {"flag_tol": float("inf")}])
 def test_config_values_type_checked_exit_2(tmp_path, capsys, overrides):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     code = main(["sweep", "--pair", "regular", "--group", "Z4", "--config", str(cfg)])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--rank-tol", ["classify", "--group", "Z4", "--vector", "1,0,0,0"]),
+    ("--flag-tol", ["sweep", "--group", "Z4", "--n", "4"]),
+    ("--pair-tol", ["certify-pair", "--group", "Z4"]),
+    ("--route-tol", ["dilate", "--group", "Z8", "--vector", "1,1,0,0,0,0,0,0"]),
+    ("--unit-tol", ["validate", "--multiplier", "heisenberg", "--N", "4"]),
+    ("--rep-tol", ["validate", "--multiplier", "heisenberg", "--N", "4"]),
+])
+def test_tolerances_must_be_finite_and_positive_exit_2(capsys, flag, argv, value):
+    assert main([*argv, f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "must be finite and > 0" in captured.err
 
 
 def test_unreadable_config_exit_2(tmp_path, capsys):

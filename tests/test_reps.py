@@ -334,6 +334,11 @@ def test_character_subrep_values():
     assert verify_rep(rep).passed
 
 
+def test_character_subrep_rejects_empty_group():
+    with pytest.raises(InvalidParameterError):
+        character_subrep(0, [1])
+
+
 def test_character_subrep_single_frequency_is_trivial_rep():
     rep = character_subrep(5, [0])
     assert rep.dim == 1
@@ -379,7 +384,7 @@ def test_orbit_matrix_definition(lam_heis2):
     from framedual import analysis_op
     rng = substream(23, 0)
     xi = random_complex_vector(rng, 4)
-    theta = analysis_op(lam_heis2, xi).matrix
+    theta = analysis_op(lam_heis2, xi)
     for g in range(4):
         np.testing.assert_allclose(theta[g], (lam_heis2.matrices[g] @ xi).conj(), atol=1e-14)
 
