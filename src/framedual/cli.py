@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -262,6 +263,8 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_gabor(args) -> int:
+    if args.zak and not args.window:
+        raise InvalidParameterError("--zak needs --window")
     lattice = serialize.parse_lattice_spec(args.lattice)
     adj = adjoint_lattice(lattice)
     result: dict = {
@@ -436,8 +439,16 @@ def _check_tolerances(args) -> None:
                 f"--{name.replace('_', '-')} must be finite and > 0, got {value!r}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process.  parse_args gives every call a fresh
+    namespace, and _apply_config writes only into it, so calls share no
+    state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

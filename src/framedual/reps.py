@@ -1,8 +1,11 @@
 """Projective unitary representations of finite groups on C^dim.
 
-A representation is stored densely as a stack of unitaries, one per group
-element, together with the cocycle mu that twists compositions:
-pi(g) pi(h) = mu(g, h) pi(gh).
+A representation holds the cocycle mu that twists its compositions,
+pi(g) pi(h) = mu(g, h) pi(gh), and its unitaries in one of two forms: a
+dense stack, one matrix per group element, or the monomial form of the
+built-in constructions (regular, monomial, Gabor and character reps), where
+row i of pi(g) holds the single entry phase[g, i] in column perm[g, i] and
+the dense stack is built on first read.
 
 Its three operator spaces come from the group structure.  The group average
 E(X) = |G|^-1 sum_g pi(g) X pi(g)* is the Hilbert-Schmidt-orthogonal
@@ -34,30 +37,60 @@ REP_TOL = 1e-10  # default residual gate for unitarity and twisted composition
 AVERAGE_TOL = 1e-8  # gate on the group average: self-adjoint, eigenvalues in {0, 1}
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ProjectiveRep:
-    """Stack of unitaries pi(g), g running over a finite group."""
+    """Unitaries pi(g), g running over a finite group, with their cocycle.
 
-    group: FiniteGroup
-    multiplier: Multiplier
-    matrices: np.ndarray  # shape (order, dim, dim)
-    label: str = "pi"
+    ProjectiveRep(group, multiplier, matrices) stores the (order, dim, dim)
+    stack it is given.  The constructions of this module store the monomial
+    form instead: perm and phase, integer and complex arrays of shape
+    (order, dim), row i of pi(g) holding phase[g, i] in column perm[g, i].
+    Then .matrices is scattered from them on first read and cached.  Either
+    way .matrices is a read-only C-contiguous complex128 stack; perm and
+    phase are None for a dense rep.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[0] != self.group.order or m.shape[1] != m.shape[2]:
+    perm: np.ndarray | None = None
+    phase: np.ndarray | None = None
+
+    def __init__(self, group: FiniteGroup, multiplier: Multiplier, matrices,
+                 label: str = "pi"):
+        m = np.ascontiguousarray(matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2]:
             raise InvalidParameterError(
                 f"matrix stack shape {m.shape} does not fit group of order "
-                f"{self.group.order}"
+                f"{group.order}"
             )
         if m.shape[1] < 1:
             raise InvalidParameterError("representation dimension must be >= 1")
         m.setflags(write=False)
-        object.__setattr__(self, "matrices", m)
+        vars(self).update(group=group, multiplier=multiplier, label=label, dim=m.shape[1],
+                          matrices=m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
+    @classmethod
+    def _monomial(cls, group: FiniteGroup, multiplier: Multiplier, perm, phase,
+                  label: str) -> "ProjectiveRep":
+        """The monomial form, for callers that have checked it: perm holds a
+        permutation of range(dim) per row, with phase of the same shape."""
+        rep = cls.__new__(cls)
+        perm = np.array(perm, dtype=np.intp)
+        phase = np.array(phase, dtype=complex)
+        perm.setflags(write=False)
+        phase.setflags(write=False)
+        vars(rep).update(group=group, multiplier=multiplier, label=label, dim=perm.shape[1],
+                         perm=perm, phase=phase)
+        return rep
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProjectiveRep is immutable: cannot set {name!r}")
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The (order, dim, dim) stack pi(g); read-only."""
+        n, d = self.perm.shape
+        mats = np.zeros((n, d, d), dtype=complex)
+        mats[np.arange(n)[:, None], np.arange(d), self.perm] = self.phase
+        mats.setflags(write=False)
+        return mats
 
     def group_average(self) -> np.ndarray:
         """The d^2 x d^2 matrix of E(X) = |G|^-1 sum_g pi(g) X pi(g)* acting
@@ -201,15 +234,12 @@ def _require_valid(group: FiniteGroup, mu: Multiplier) -> None:
 
 def left_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
     """Left regular projective representation on C^|G|:
-    column h of L(g) is mu(g, h) at row g*h."""
+    column h of L(g) is mu(g, h) at row g*h, so row i holds mu(g, g^-1 i)
+    in column g^-1 i."""
     _require_valid(group, mu)
-    n = group.order
-    cay = group.cayley
-    cols = np.arange(n)
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        mats[g, cay[g, cols], cols] = mu.table[g, cols]
-    return ProjectiveRep(group, mu, mats, label=f"lambda[{group.label}]")
+    perm = group.cayley[group.inverse]
+    phase = np.take_along_axis(mu.table, perm, axis=1)
+    return ProjectiveRep._monomial(group, mu, perm, phase, label=f"lambda[{group.label}]")
 
 
 def right_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
@@ -222,14 +252,11 @@ def right_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
     the coboundary of g -> mu(g, g^-1).
     """
     _require_valid(group, mu)
-    n = group.order
-    cay, inv = group.cayley, group.inverse
-    cols = np.arange(n)
-    mats = np.zeros((n, n, n), dtype=complex)
-    for g in range(n):
-        mats[g, cay[cols, inv[g]], cols] = mu.table[cols, inv[g]]
+    inv = group.inverse
+    perm = group.cayley.T  # row i = h g^-1 of R(g) holds mu(h, g^-1) in column h = i g
+    phase = mu.table[perm, inv[:, None]]
     nu = Multiplier(group, mu.table[np.ix_(inv, inv)].T)
-    return ProjectiveRep(group, nu, mats, label=f"rho[{group.label}]")
+    return ProjectiveRep._monomial(group, nu, perm, phase, label=f"rho[{group.label}]")
 
 
 def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
@@ -244,7 +271,8 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
     within REP_TOL, and mu must be a cocycle at UNIT_TOL.  A row of perm that
     is not a permutation, a phase off the unit circle or a failed
     composition raises NotProjectiveError, an invalid mu then
-    InvalidParameterError.  Only then is the dense stack built.
+    InvalidParameterError.  The rep stores perm and phase; its dense stack
+    is built on first read of .matrices.
 
     A certificate decides first, at O(|S| |G| dim): certify_multiplier
     passes, and the composition check holds for g in the generating set S
@@ -315,9 +343,7 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
                 )
         _require_valid(group, mu)
 
-    mats = np.zeros((n, d, d), dtype=complex)
-    mats[np.arange(n)[:, None], np.arange(d), p] = ph
-    return ProjectiveRep(group, mu, mats, label=label)
+    return ProjectiveRep._monomial(group, mu, p, ph, label=label)
 
 
 def _monomial_composition(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
@@ -431,8 +457,6 @@ def character_subrep(n: int, freqs) -> ProjectiveRep:
         raise InvalidParameterError("frequency set must be nonempty")
     g = np.arange(n)[:, None]
     phases = np.exp(2j * np.pi * g * np.asarray(ks)[None, :] / n)  # (n, |E|)
-    mats = np.zeros((n, len(ks), len(ks)), dtype=complex)
-    idx = np.arange(len(ks))
-    mats[:, idx, idx] = phases
-    return ProjectiveRep(group, trivial_multiplier(group), mats,
-                         label=f"char[Z{n}|{ks}]")
+    perm = np.broadcast_to(np.arange(len(ks)), phases.shape)
+    return ProjectiveRep._monomial(group, trivial_multiplier(group), perm, phases,
+                                   label=f"char[Z{n}|{ks}]")

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,12 +145,15 @@ def test_gabor_command_with_window(tmp_path):
     assert doc["result"]["zak"]["rows"] == 1
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["classify", "--rep", "gabor", "--vector", "1,0"]) == 2  # no lattice
     assert main(["sweep", "--pair", "gabor", "--lattice", "5,2,1"]) == 2  # bad steps
     assert main(["classify", "--rep", "regular", "--group", "Z3",
                  "--vector", "1,frog,0"]) == 2
+    assert main(["gabor", "--lattice", "8,2,2", "--zak"]) == 2  # no window to transform
+    captured = capsys.readouterr()
+    assert "--zak needs --window" in captured.err and "Traceback" not in captured.err
 
 
 def test_validate_rep_bundle(tmp_path):
@@ -327,3 +334,51 @@ def test_unexpected_exception_exit_3(monkeypatch, capsys):
     assert main(["classify", "--group", "Z2", "--vector", "1,0"]) == 3
     err = capsys.readouterr().err
     assert "ZeroDivisionError" in err and "internal error" in err
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    import framedual.cli as cli
+
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (["classify", "--group", "Z4", "--vector", "1,0,0,0"], ["--version"],
+                 ["validate", "--multiplier", "heisenberg", "--N", "2"], ["no-such-command"]):
+        main(argv)
+    assert len(built) == 1
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 21, "n": 7}))
+    sweep = ["sweep", "--pair", "regular", "--group", "Z4", "--n", "5", "--seed", "1"]
+    calls = [
+        [*sweep, "--config", str(cfg)],
+        sweep,
+        ["classify", "--rep", "nonsense", "--vector", "1"],
+        ["--version"],
+        ["validate", "--multiplier", "heisenberg", "--N", "3", "--unit-tol", "0"],
+        ["validate", "--multiplier", "heisenberg", "--N", "3"],
+        ["sweep", "--pair", "gabor", "--lattice", "6,1,2", "--n", "10", "--seed", "2",
+         "--format", "csv"],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, capsys.readouterr().out))
+    src = Path(__file__).resolve().parents[1] / "src"
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "framedual.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        fresh.append((done.returncode, done.stdout))
+    assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 0]
+    assert in_process[0] != in_process[1]  # the override applies to its own call only
+    assert in_process == fresh
