@@ -12,11 +12,12 @@ Subcommands
   gabor           lattice info, adjoint lattice, optional window analysis
 
 Reports are JSON (CSV only for sweep summaries) and embed the tool version,
-the effective configuration, the seed, and all tolerances, so any run can be
-reproduced byte for byte.  Exit codes: 0 all checks pass, 1 a mathematical
-inconsistency or counterexample was found, 2 invalid input or configuration,
-3 an internal error (a fault of the program; the traceback goes to stderr),
-4 a randomized search used up its tries (dilate --max-tries).
+the effective configuration, the tolerances the command applied and the seed
+of a command that draws, so any run can be reproduced byte for byte.  Exit
+codes: 0 all checks pass, 1 a mathematical inconsistency or counterexample
+was found, 2 invalid input or configuration, 3 an internal error (a fault of
+the program; the traceback goes to stderr), 4 a randomized search used up
+its tries (dilate --max-tries).
 
 Examples:
     framedual sweep --pair regular --group Z12 --multiplier trivial --n 200 --seed 7
@@ -53,6 +54,11 @@ EXIT_INCONSISTENT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_SEARCH_EXHAUSTED = 4
+
+# Every tolerance flag with its library default.  Each subcommand takes only
+# the ones its handler reads (build_parser); only those reach meta.tolerances.
+TOLERANCES = {"rank_tol": RANK_TOL, "flag_tol": FLAG_TOL, "pair_tol": PAIR_TOL,
+              "route_tol": ROUTE_TOL, "unit_tol": UNIT_TOL, "rep_tol": REP_TOL}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -120,12 +126,7 @@ def _pair_spec_from_args(args) -> dict:
 
 
 def _tolerances(args) -> dict:
-    return {
-        "rank_tol": args.rank_tol,
-        "flag_tol": args.flag_tol,
-        "pair_tol": args.pair_tol,
-        "route_tol": args.route_tol,
-    }
+    return {name: getattr(args, name) for name in TOLERANCES if hasattr(args, name)}
 
 
 def _emit(args, command: str, result: dict, csv_rows=None) -> None:
@@ -290,14 +291,14 @@ def _cmd_gabor(args) -> int:
     return code
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *tolerances: str, seed: bool = False) -> None:
+    """Flags of every subcommand, --seed if it draws, and the named TOLERANCES."""
     parser.add_argument("--output", help="write the report to this path")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rank-tol", type=float, default=RANK_TOL, dest="rank_tol")
-    parser.add_argument("--flag-tol", type=float, default=FLAG_TOL, dest="flag_tol")
-    parser.add_argument("--pair-tol", type=float, default=PAIR_TOL, dest="pair_tol")
-    parser.add_argument("--route-tol", type=float, default=ROUTE_TOL, dest="route_tol")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
+    for name in tolerances:
+        parser.add_argument("--" + name.replace("_", "-"), type=float, default=TOLERANCES[name])
     parser.add_argument("--config", help="JSON file whose keys override these flags")
 
 
@@ -338,32 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--N", type=int)
     p.add_argument("--rep-json", dest="rep_json")
-    p.add_argument("--unit-tol", type=float, default=UNIT_TOL, dest="unit_tol")
-    p.add_argument("--rep-tol", type=float, default=REP_TOL, dest="rep_tol")
-    _add_common(p)
+    _add_common(p, "unit_tol", "rep_tol")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("classify", help="classify one orbit")
     _add_rep_args(p)
     p.add_argument("--vector", "--window", dest="vector", required=True)
-    _add_common(p)
+    _add_common(p, "rank_tol", "flag_tol")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("commutant", help="commutant / algebra / center dimensions")
     _add_rep_args(p)
-    _add_common(p)
+    _add_common(p, "rank_tol")
     p.set_defaults(func=_cmd_commutant)
 
     p = sub.add_parser("certify-pair", help="commuting + dual pair certification")
     _add_pair_args(p)
     p.add_argument("--n", type=int, default=50, help="search draws per witness")
-    _add_common(p)
+    _add_common(p, "rank_tol", "flag_tol", "pair_tol", seed=True)
     p.set_defaults(func=_cmd_certify_pair)
 
     p = sub.add_parser("verify-duality", help="duality clauses for one vector")
     _add_pair_args(p)
     p.add_argument("--vector", required=True)
-    _add_common(p)
+    _add_common(p, "rank_tol", "flag_tol", "pair_tol")
     p.set_defaults(func=_cmd_verify_duality)
 
     p = sub.add_parser("sweep", help="randomized duality sweep")
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=200, help="random draws")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; vectors run serially")
-    _add_common(p)
+    _add_common(p, "rank_tol", "flag_tol", "pair_tol", seed=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("dilate", help="dilate to a complete frame vector")
@@ -379,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", required=True)
     p.add_argument("--mode", choices=("frame", "parseval"), default="frame")
     p.add_argument("--max-tries", type=int, default=5, dest="max_tries")
-    _add_common(p)
+    _add_common(p, "rank_tol", "flag_tol", "route_tol", seed=True)
     p.set_defaults(func=_cmd_dilate)
 
     p = sub.add_parser("gabor", help="lattice info and optional window analysis")
     p.add_argument("--lattice", required=True, help="N,a,b")
     p.add_argument("--window")
     p.add_argument("--zak", action="store_true", help="include the window's Zak transform")
-    _add_common(p)
+    _add_common(p, "rank_tol", "flag_tol", "pair_tol")
     p.set_defaults(func=_cmd_gabor)
 
     return parser
@@ -432,9 +431,8 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
 def _check_tolerances(args) -> None:
     """Every tolerance the subcommand takes must be finite and positive: a
     NaN gate passes nothing, an infinite one everything."""
-    for name in ("rank_tol", "flag_tol", "pair_tol", "route_tol", "unit_tol", "rep_tol"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
+    for name, value in _tolerances(args).items():
+        if not (math.isfinite(value) and value > 0):
             raise InvalidParameterError(
                 f"--{name.replace('_', '-')} must be finite and > 0, got {value!r}")
 

@@ -45,8 +45,9 @@ class FiniteGroup:
     label: str = "G"
 
     def __post_init__(self):
-        cay = np.ascontiguousarray(self.cayley, dtype=np.int64)
-        inv = np.ascontiguousarray(self.inverse, dtype=np.int64)
+        # copies, so that freezing them leaves the caller's arrays writeable
+        cay = np.array(self.cayley, dtype=np.int64, order="C")
+        inv = np.array(self.inverse, dtype=np.int64, order="C")
         cay.setflags(write=False)
         inv.setflags(write=False)
         object.__setattr__(self, "cayley", cay)
@@ -195,7 +196,7 @@ class Multiplier:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.table, dtype=complex)
+        t = np.array(self.table, dtype=complex, order="C")  # a copy: the caller keeps its array
         if t.shape != (self.group.order, self.group.order):
             raise InvalidParameterError(
                 f"multiplier table shape {t.shape} does not match group order "

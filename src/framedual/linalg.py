@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-# Default tolerances, overridable per call and through the CLI.
+# Default tolerances.  RANK_TOL is a per-call parameter and the CLI's --rank-tol;
+# EIG_TOL is a parameter of hermitian_eig only; ORTH_TOL is fixed.
 EIG_TOL = 1e-10    # relative Hermitian-defect gate for eigendecompositions
 RANK_TOL = 1e-9    # relative cutoff below which singular/eigenvalues count as zero
 ORTH_TOL = 1e-10   # orthonormality slack accepted in stored bases

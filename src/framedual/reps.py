@@ -40,8 +40,8 @@ AVERAGE_TOL = 1e-8  # gate on the group average: self-adjoint, eigenvalues in {0
 class ProjectiveRep:
     """Unitaries pi(g), g running over a finite group, with their cocycle.
 
-    ProjectiveRep(group, multiplier, matrices) stores the (order, dim, dim)
-    stack it is given.  The constructions of this module store the monomial
+    ProjectiveRep(group, multiplier, matrices) stores a copy of the
+    (order, dim, dim) stack it is given.  The constructions of this module store the monomial
     form instead: perm and phase, integer and complex arrays of shape
     (order, dim), row i of pi(g) holding phase[g, i] in column perm[g, i].
     Then .matrices is scattered from them on first read and cached.  Either
@@ -54,7 +54,7 @@ class ProjectiveRep:
 
     def __init__(self, group: FiniteGroup, multiplier: Multiplier, matrices,
                  label: str = "pi"):
-        m = np.ascontiguousarray(matrices, dtype=complex)
+        m = np.array(matrices, dtype=complex, order="C")  # a copy: the caller keeps its array
         if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2]:
             raise InvalidParameterError(
                 f"matrix stack shape {m.shape} does not fit group of order "
@@ -168,25 +168,37 @@ class RepVerification:
 
 def verify_rep(rep: ProjectiveRep, tol: float = REP_TOL) -> RepVerification:
     """Check that every matrix is unitary, pi(e) = I, and that
-    pi(g) pi(h) = mu(g, h) pi(gh) holds for all pairs."""
+    pi(g) pi(h) = mu(g, h) pi(gh) holds for all pairs.
+
+    As in validate_multiplier, a NaN or infinite residual fails its check and
+    each residual field holds the largest finite residual, which keeps the
+    report standard JSON.  A non-finite composition residual ranks above
+    every finite one, so worst_pair names the first pair that has one.
+    """
     mats = rep.matrices
     eye = np.eye(rep.dim)
-
-    gram = np.einsum("gji,gjk->gik", mats.conj(), mats)
-    unit_resid = float(np.abs(gram - eye[None]).max())
-
-    id_resid = float(np.abs(mats[rep.group.identity] - eye).max())
-
     table = rep.multiplier.table
-    comp_resid = 0.0
-    worst_pair = None
-    for g, _, resid in _twisted_compositions(mats, rep.group, lambda g, p, t: table[g]):
-        h = int(resid.argmax())
-        if resid[h] > comp_resid:
-            comp_resid = float(resid[h])
-            worst_pair = (g, h)
-    passed = unit_resid <= tol and id_resid <= tol and comp_resid <= tol
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 in a stack with an infinite entry
+        gram = np.einsum("gji,gjk->gik", mats.conj(), mats)
+        unit_resid, unit_finite = _finite_max(np.abs(gram - eye[None]))
+        id_resid, id_finite = _finite_max(np.abs(mats[rep.group.identity] - eye))
+        comp_resid, worst, worst_pair = 0.0, 0.0, None
+        for g, _, resid in _twisted_compositions(mats, rep.group, lambda g, p, t: table[g]):
+            comp_resid = max(comp_resid, _finite_max(resid)[0])
+            ranked = np.where(np.isnan(resid), np.inf, resid)
+            h = int(ranked.argmax())
+            if ranked[h] > worst:
+                worst, worst_pair = float(ranked[h]), (g, h)
+    passed = (unit_finite and id_finite and unit_resid <= tol and id_resid <= tol
+              and worst <= tol)
     return RepVerification(passed, unit_resid, id_resid, comp_resid, worst_pair, tol)
+
+
+def _finite_max(resid: np.ndarray) -> tuple[float, bool]:
+    """The largest finite entry of resid (0.0 if there is none), and whether
+    every entry is finite."""
+    finite = np.isfinite(resid)
+    return float(resid.max(where=finite, initial=0.0)), bool(finite.all())
 
 
 def _twisted_compositions(mats: np.ndarray, group: FiniteGroup, scalars_for):

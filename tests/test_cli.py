@@ -382,3 +382,73 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert [code for code, _ in in_process] == [0, 0, 2, 0, 2, 0, 0]
     assert in_process[0] != in_process[1]  # the override applies to its own call only
     assert in_process == fresh
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_bundle_with_non_finite_entry(tmp_path, bad):
+    from framedual import left_regular, trivial_multiplier
+
+    g = cyclic_group(3)
+    bundle = serialize.rep_to_json(left_regular(g, trivial_multiplier(g)))
+    bundle["matrices"][1]["entries"][0] = [bad, 0.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bundle))
+    code, text = run(tmp_path, "validate", "--rep-json", str(path))
+    assert code == 1
+
+    def reject(token):
+        raise AssertionError(f"{token} in a report")
+
+    doc = json.loads(text, parse_constant=reject)["result"]["representation"]
+    assert doc["passed"] is False
+    assert doc["worst_pair"] is not None
+
+
+# The tolerances each subcommand's handler passes to the library, whether it
+# draws random vectors (takes --seed), and a call of it that exits 0.
+FLAG_SURFACE = {
+    "validate": ({"unit_tol", "rep_tol"}, False, ["--multiplier", "heisenberg", "--N", "2"]),
+    "classify": ({"rank_tol", "flag_tol"}, False, ["--group", "Z2", "--vector", "1,0"]),
+    "commutant": ({"rank_tol"}, False, ["--group", "Z2"]),
+    "certify-pair": ({"rank_tol", "flag_tol", "pair_tol"}, True, ["--group", "Z2", "--n", "2"]),
+    "verify-duality": ({"rank_tol", "flag_tol", "pair_tol"}, False,
+                       ["--group", "Z2", "--vector", "1,0"]),
+    "sweep": ({"rank_tol", "flag_tol", "pair_tol"}, True, ["--group", "Z2", "--n", "2"]),
+    "dilate": ({"rank_tol", "flag_tol", "route_tol"}, True, ["--group", "Z2", "--vector", "1,0"]),
+    "gabor": ({"rank_tol", "flag_tol", "pair_tol"}, False,
+              ["--lattice", "4,2,2", "--window", "1,0,0,0"]),
+}
+ALL_TOLERANCES = ("rank_tol", "flag_tol", "pair_tol", "route_tol", "unit_tol", "rep_tol")
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+def test_each_subcommand_takes_the_flags_it_reads(tmp_path, capsys, command):
+    tolerances, seeded, argv = FLAG_SURFACE[command]
+    for name in ALL_TOLERANCES:
+        flag = "--" + name.replace("_", "-")
+        assert main([command, *argv, flag, "1e-9"]) == (0 if name in tolerances else 2), flag
+    assert main([command, *argv, "--seed", "3"]) == (0 if seeded else 2)
+    assert "Traceback" not in capsys.readouterr().err
+    code, text = run(tmp_path, command, *argv)
+    assert code == 0
+    meta = json.loads(text)["meta"]
+    assert set(meta["tolerances"]) == tolerances
+    assert meta["seed"] == (0 if seeded else None)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("validate", "--route-tol", "5"),
+    ("commutant", "--flag-tol", "0.5"),
+    ("classify", "--seed", "3"),
+    ("gabor", "--route-tol", "1e-5"),
+    ("verify-duality", "--seed", "1"),
+])
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, command, flag, value):
+    argv = [command, *FLAG_SURFACE[command][2]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): json.loads(value)}))
+    for extra in ([flag, value], ["--config", str(cfg)]):
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err

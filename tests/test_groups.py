@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedual import (
+    FiniteGroup,
     InvalidParameterError,
     Multiplier,
     certify_multiplier,
@@ -169,6 +170,24 @@ def test_validate_flags_unit_modulus():
     table[1, 2] = 2.0
     report = validate_multiplier(Multiplier(g, table))
     assert not report.unit_modulus_ok
+
+
+def test_group_and_multiplier_keep_copies_of_the_callers_arrays():
+    cayley = np.add.outer(np.arange(3), np.arange(3)).astype(np.int64) % 3
+    inverse = (-np.arange(3, dtype=np.int64)) % 3
+    table = np.ones((3, 3), dtype=complex)
+    group = FiniteGroup(cayley, 0, inverse, label="Z3")
+    mu = Multiplier(group, table)
+    for caller, stored in ((cayley, group.cayley), (inverse, group.inverse),
+                           (table, mu.table)):
+        assert stored is not caller and caller.flags.writeable
+        assert not stored.flags.writeable
+    cayley[1, 1] = 0
+    inverse[1] = 1
+    table[1, 2] = 1j
+    assert group.cayley.tolist() == cyclic_group(3).cayley.tolist()
+    assert group.inverse.tolist() == [0, 2, 1]
+    assert mu == trivial_multiplier(group)
 
 
 def test_multiplier_shape_mismatch():

@@ -108,6 +108,32 @@ def test_verify_rep_catches_scaled_matrix():
     assert report.worst_pair is not None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_rep_non_finite_entry_fails_with_finite_residuals(bad):
+    # the failing compositions must not hide behind NaN comparisons: each
+    # residual field stays finite and worst_pair names a pair through pi(1)
+    g = cyclic_group(3)
+    lam = left_regular(g, trivial_multiplier(g))
+    mats = lam.matrices.copy()
+    mats[1, 0, 0] = bad
+    report = verify_rep(ProjectiveRep(g, lam.multiplier, mats))
+    assert not report.passed
+    assert np.isfinite([report.unitarity_residual, report.identity_residual,
+                        report.composition_residual]).all()
+    assert report.worst_pair is not None and 1 in report.worst_pair
+
+
+def test_rep_keeps_a_copy_of_the_callers_stack():
+    g = cyclic_group(3)
+    lam = left_regular(g, trivial_multiplier(g))
+    mats = lam.matrices.copy()
+    rep = ProjectiveRep(g, lam.multiplier, mats)
+    assert rep.matrices is not mats and mats.flags.writeable
+    assert not rep.matrices.flags.writeable
+    mats[1] = 0
+    np.testing.assert_array_equal(rep.matrices, lam.matrices)
+
+
 def test_right_regular_multiplier_trivial_case():
     g = cyclic_group(5)
     mu = trivial_multiplier(g)
