@@ -70,21 +70,12 @@ from .reps import (
     ProjectiveRep,
     RepVerification,
     character_subrep,
-    derive_multiplier,
     left_regular,
     monomial_rep,
     right_regular,
     subrepresentation,
     verify_rep,
 )
-from .vonneumann import (
-    OperatorSubspace,
-    center,
-    commutant,
-    contains,
-    double_commutant,
-    is_factor,
-    trace_state,
-)
+from .vonneumann import OperatorSubspace, contains
 
 __version__ = "0.1.0"

@@ -11,13 +11,13 @@ Subcommands
   dilate          complete a frame-sequence vector to a complete frame vector
   gabor           lattice info, adjoint lattice, optional window analysis
 
-Reports are JSON (CSV only for sweep summaries) and embed the tool version,
-the effective configuration, the tolerances the command applied and the seed
-of a command that draws, so any run can be reproduced byte for byte.  Exit
-codes: 0 all checks pass, 1 a mathematical inconsistency or counterexample
-was found, 2 invalid input or configuration, 3 an internal error (a fault of
-the program; the traceback goes to stderr), 4 a randomized search used up
-its tries (dilate --max-tries).
+Reports are JSON (sweep --format csv: one summary row) and embed the tool
+version, the flags read (a kind flag only if the --rep or --pair kind reads
+it, at its serialize.REP_KINDS / PAIR_KINDS default), the tolerances applied
+and any seed, so a run can be reproduced byte for byte.  Exit codes: 0 all
+checks pass, 1 a mathematical inconsistency or counterexample, 2 invalid
+input or configuration, such as a flag the kind does not read, 3 an internal
+error (its traceback goes to stderr), 4 a randomized search out of tries.
 
 Examples:
     framedual sweep --pair regular --group Z12 --multiplier trivial --n 200 --seed 7
@@ -66,8 +66,7 @@ def _parse_vector(text: str) -> np.ndarray:
     @file.json holding a vector document."""
     text = text.strip()
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return serialize.vector_from_json(json.load(fh))
+        return serialize.vector_from_json(_load_json(text[1:]))
     try:
         return np.array([complex(tok.strip().replace(" ", ""))
                          for tok in text.split(",") if tok.strip()], dtype=complex)
@@ -75,53 +74,51 @@ def _parse_vector(text: str) -> np.ndarray:
         raise InvalidParameterError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _maybe_load_json_arg(text: str):
     """Pass "@file.json" through as parsed JSON, anything else unchanged."""
     if isinstance(text, str) and text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return _load_json(text[1:])
     return text
 
 
-def _rep_spec_from_args(args) -> dict:
-    spec: dict = {"kind": args.rep}
-    if args.rep == "regular":
-        spec["group"] = _maybe_load_json_arg(args.group)
-        spec["multiplier"] = _maybe_load_json_arg(args.multiplier)
-        spec["side"] = args.side
-    elif args.rep == "gabor":
-        if not args.lattice:
-            raise InvalidParameterError("--lattice N,a,b is required for gabor reps")
-        spec["lattice"] = args.lattice
-    elif args.rep == "character":
-        if args.N is None or not args.freqs:
-            raise InvalidParameterError("character reps need --N and --freqs")
-        spec["n"] = args.N
-        try:
-            spec["freqs"] = [int(k) for k in args.freqs.split(",")]
-        except ValueError as exc:
-            raise InvalidParameterError(f"cannot parse --freqs {args.freqs!r}: {exc}") from exc
-    elif args.rep == "custom":
-        if not args.rep_json:
-            raise InvalidParameterError("custom reps need --rep-json FILE")
-        spec["rep"] = _maybe_load_json_arg("@" + args.rep_json)
-    return spec
+# Each kind flag by its dest: the spec field it fills, its argparse type, how
+# its text becomes the field's value, and its help.  Which kinds read a field,
+# and its default, only serialize.REP_KINDS / PAIR_KINDS say.
+KIND_FLAGS = {
+    "group": ("group", None, _maybe_load_json_arg,
+              "group label like Z12 or Z2xZ4, or @cayley.json"),
+    "multiplier": ("multiplier", None, _maybe_load_json_arg, "trivial | heisenberg | @table.json"),
+    "side": ("side", None, str, "left | right"),
+    "lattice": ("lattice", None, str, "gabor lattice as N,a,b"),
+    "N": ("n", int, int, "modulus for character reps"),
+    "freqs": ("freqs", None, str, "comma list of character frequencies"),
+    "rep_json": ("rep", None, _load_json, "bundle file for custom reps"),
+    "pi_json": ("pi", None, _load_json, "bundle file of a custom pair's pi"),
+    "sigma_json": ("sigma", None, _load_json, "bundle file of a custom pair's sigma"),
+}
 
 
-def _pair_spec_from_args(args) -> dict:
-    spec: dict = {"kind": args.pair}
-    if args.pair == "regular":
-        spec["group"] = _maybe_load_json_arg(args.group)
-        spec["multiplier"] = _maybe_load_json_arg(args.multiplier)
-    elif args.pair == "gabor":
-        if not args.lattice:
-            raise InvalidParameterError("--lattice N,a,b is required for gabor pairs")
-        spec["lattice"] = args.lattice
-    elif args.pair == "custom":
-        if not (args.pi_json and args.sigma_json):
-            raise InvalidParameterError("custom pairs need --pi-json and --sigma-json")
-        spec["pi"] = _maybe_load_json_arg("@" + args.pi_json)
-        spec["sigma"] = _maybe_load_json_arg("@" + args.sigma_json)
+def _spec(args, selector: str, kinds: dict) -> dict:
+    """The spec document of the --rep or --pair kind (selector) and the kind
+    flags set.  A set flag the kind does not read is invalid input.  The
+    flags the kind reads go back into args at their effective values, so
+    meta.config echoes what the run used and nothing else."""
+    given = {field: getattr(args, dest) for dest, (field, *_) in KIND_FLAGS.items()
+             if getattr(args, dest, None) is not None}
+    if getattr(args, selector) is not None:
+        given["kind"] = getattr(args, selector)
+    kind, fields = serialize.spec_fields(kinds, given)
+    setattr(args, selector, kind)
+    spec = {"kind": kind}
+    for dest, (field, _, read, _) in KIND_FLAGS.items():
+        if field in fields:
+            setattr(args, dest, fields[field])
+            spec[field] = read(fields[field])
     return spec
 
 
@@ -130,8 +127,9 @@ def _tolerances(args) -> dict:
 
 
 def _emit(args, command: str, result: dict, csv_rows=None) -> None:
-    """Write the report.  Volatile data (wall time) goes to stderr only, so
-    reports for one configuration are byte-identical across runs."""
+    """Write the report, or the CSV rows in its place when given.  Volatile
+    data (wall time) goes to stderr only, so reports for one configuration
+    are byte-identical across runs."""
     report = {
         "meta": {
             "tool": "framedual",
@@ -146,9 +144,7 @@ def _emit(args, command: str, result: dict, csv_rows=None) -> None:
         },
         "result": result,
     }
-    if args.format == "csv":
-        if csv_rows is None:
-            raise InvalidParameterError("csv format is only available for sweep reports")
+    if csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(csv_rows)
@@ -163,18 +159,19 @@ def _emit(args, command: str, result: dict, csv_rows=None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    if args.group is not None:
-        group_spec = args.group
-    elif args.N is not None:
-        group_spec = (f"Z{args.N}xZ{args.N}" if args.multiplier == "heisenberg"
-                      else f"Z{args.N}")
-    else:
-        group_spec = "Z4"
     if args.rep_json:
-        rep = serialize.rep_from_json(_maybe_load_json_arg("@" + args.rep_json))
+        if (args.multiplier, args.group, args.N) != (None, None, None):
+            raise InvalidParameterError("--rep-json takes no --multiplier, --group or --N")
+        rep = serialize.rep_from_json(_load_json(args.rep_json))
         report = verify_rep(rep, tol=args.rep_tol)
         _emit(args, "validate", {"representation": serialize.report_to_json(report)})
         return EXIT_OK if report.passed else EXIT_INCONSISTENT
+    if args.group is not None and args.N is not None:
+        raise InvalidParameterError("give the group by --group or by --N, not both")
+    group_spec = "Z4" if args.group is None else args.group
+    if args.N is not None:
+        group_spec = (f"Z{args.N}xZ{args.N}" if args.multiplier == "heisenberg"
+                      else f"Z{args.N}")
     group = serialize.parse_group_spec(_maybe_load_json_arg(group_spec))
     result: dict = {"group": {"label": group.label, "order": group.order}}
     code = EXIT_OK
@@ -189,7 +186,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    rep = serialize.resolve_rep_spec(_rep_spec_from_args(args))
+    rep = serialize.resolve_rep_spec(_spec(args, "rep", serialize.REP_KINDS))
     vec = _parse_vector(args.vector)
     cls = classify(rep, vec, rank_tol=args.rank_tol, flag_tol=args.flag_tol)
     _emit(args, "classify", {
@@ -200,7 +197,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_commutant(args) -> int:
-    rep = serialize.resolve_rep_spec(_rep_spec_from_args(args))
+    rep = serialize.resolve_rep_spec(_spec(args, "rep", serialize.REP_KINDS))
     comm = rep.commutant()
     alg = rep.algebra(args.rank_tol)
     ctr = rep.center(args.rank_tol)
@@ -216,7 +213,7 @@ def _cmd_commutant(args) -> int:
 
 
 def _cmd_certify_pair(args) -> int:
-    pi, sigma, label = serialize.resolve_pair_spec(_pair_spec_from_args(args))
+    pi, sigma, label = serialize.resolve_pair_spec(_spec(args, "pair", serialize.PAIR_KINDS))
     report = certify_dual_pair(pi, sigma, seed=args.seed, n_samples=args.n,
                                tol=args.pair_tol, rank_tol=args.rank_tol,
                                flag_tol=args.flag_tol)
@@ -228,7 +225,7 @@ def _cmd_certify_pair(args) -> int:
 
 
 def _cmd_verify_duality(args) -> int:
-    pi, sigma, label = serialize.resolve_pair_spec(_pair_spec_from_args(args))
+    pi, sigma, label = serialize.resolve_pair_spec(_spec(args, "pair", serialize.PAIR_KINDS))
     vec = _parse_vector(args.vector)
     verdict = verify_duality(pi, sigma, vec, rank_tol=args.rank_tol,
                              flag_tol=args.flag_tol, pair_tol=args.pair_tol)
@@ -240,17 +237,17 @@ def _cmd_verify_duality(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pi, sigma, label = serialize.resolve_pair_spec(_pair_spec_from_args(args))
+    pi, sigma, label = serialize.resolve_pair_spec(_spec(args, "pair", serialize.PAIR_KINDS))
     report = duality_sweep(pi, sigma, n_vectors=args.n, seed=args.seed,
                            rank_tol=args.rank_tol, flag_tol=args.flag_tol,
                            pair_tol=args.pair_tol, label=label)
     _emit(args, "sweep", serialize.report_to_json(report),
-          csv_rows=serialize.sweep_report_to_csv_rows(report))
+          csv_rows=serialize.sweep_report_to_csv_rows(report) if args.format == "csv" else None)
     return EXIT_OK if report.n_inconsistent == 0 else EXIT_INCONSISTENT
 
 
 def _cmd_dilate(args) -> int:
-    rep = serialize.resolve_rep_spec(_rep_spec_from_args(args))
+    rep = serialize.resolve_rep_spec(_spec(args, "rep", serialize.REP_KINDS))
     vec = _parse_vector(args.vector)
     result = dilate_to_complete(rep, vec, mode=args.mode, seed=args.seed,
                                 max_tries=args.max_tries, rank_tol=args.rank_tol,
@@ -276,8 +273,7 @@ def _cmd_gabor(args) -> int:
     }
     if args.window:
         window = _parse_vector(args.window)
-        pi, sigma, label = serialize.resolve_pair_spec(
-            {"kind": "gabor", "lattice": [lattice.n, lattice.a, lattice.b]})
+        pi, sigma, label = serialize.resolve_pair_spec({"kind": "gabor", "lattice": args.lattice})
         verdict = verify_duality(pi, sigma, window, rank_tol=args.rank_tol,
                                  flag_tol=args.flag_tol, pair_tol=args.pair_tol)
         result["pair"] = label
@@ -294,7 +290,6 @@ def _cmd_gabor(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, *tolerances: str, seed: bool = False) -> None:
     """Flags of every subcommand, --seed if it draws, and the named TOLERANCES."""
     parser.add_argument("--output", help="write the report to this path")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
     if seed:
         parser.add_argument("--seed", type=int, default=0)
     for name in tolerances:
@@ -302,28 +297,13 @@ def _add_common(parser: argparse.ArgumentParser, *tolerances: str, seed: bool = 
     parser.add_argument("--config", help="JSON file whose keys override these flags")
 
 
-def _add_rep_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rep", choices=("regular", "gabor", "character", "custom"),
-                        default="regular")
-    parser.add_argument("--group", default="Z4",
-                        help="group label like Z12 or Z2xZ4, or @cayley.json")
-    parser.add_argument("--multiplier", default="trivial",
-                        help="trivial | heisenberg | @table.json")
-    parser.add_argument("--side", choices=("left", "right"), default="left")
-    parser.add_argument("--lattice", help="gabor lattice as N,a,b")
-    parser.add_argument("--N", type=int, help="modulus for character reps")
-    parser.add_argument("--freqs", help="comma list of character frequencies")
-    parser.add_argument("--rep-json", dest="rep_json", help="bundle file for custom reps")
-
-
-def _add_pair_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pair", choices=("regular", "gabor", "custom"),
-                        default="regular")
-    parser.add_argument("--group", default="Z4")
-    parser.add_argument("--multiplier", default="trivial")
-    parser.add_argument("--lattice", help="gabor lattice as N,a,b")
-    parser.add_argument("--pi-json", dest="pi_json")
-    parser.add_argument("--sigma-json", dest="sigma_json")
+def _add_kind_args(parser: argparse.ArgumentParser, selector: str, kinds: dict) -> None:
+    """--rep or --pair (selector), and the flag of each field its kinds read."""
+    parser.add_argument("--" + selector, choices=tuple(kinds))
+    fields = {field for defaults in kinds.values() for field in defaults}
+    for dest, (field, flag_type, _, text) in KIND_FLAGS.items():
+        if field in fields:
+            parser.add_argument("--" + dest.replace("_", "-"), type=flag_type, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,38 +323,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("classify", help="classify one orbit")
-    _add_rep_args(p)
+    _add_kind_args(p, "rep", serialize.REP_KINDS)
     p.add_argument("--vector", "--window", dest="vector", required=True)
     _add_common(p, "rank_tol", "flag_tol")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("commutant", help="commutant / algebra / center dimensions")
-    _add_rep_args(p)
+    _add_kind_args(p, "rep", serialize.REP_KINDS)
     _add_common(p, "rank_tol")
     p.set_defaults(func=_cmd_commutant)
 
     p = sub.add_parser("certify-pair", help="commuting + dual pair certification")
-    _add_pair_args(p)
+    _add_kind_args(p, "pair", serialize.PAIR_KINDS)
     p.add_argument("--n", type=int, default=50, help="search draws per witness")
     _add_common(p, "rank_tol", "flag_tol", "pair_tol", seed=True)
     p.set_defaults(func=_cmd_certify_pair)
 
     p = sub.add_parser("verify-duality", help="duality clauses for one vector")
-    _add_pair_args(p)
+    _add_kind_args(p, "pair", serialize.PAIR_KINDS)
     p.add_argument("--vector", required=True)
     _add_common(p, "rank_tol", "flag_tol", "pair_tol")
     p.set_defaults(func=_cmd_verify_duality)
 
     p = sub.add_parser("sweep", help="randomized duality sweep")
-    _add_pair_args(p)
+    _add_kind_args(p, "pair", serialize.PAIR_KINDS)
     p.add_argument("--n", type=int, default=200, help="random draws")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; vectors run serially")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p, "rank_tol", "flag_tol", "pair_tol", seed=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("dilate", help="dilate to a complete frame vector")
-    _add_rep_args(p)
+    _add_kind_args(p, "rep", serialize.REP_KINDS)
     p.add_argument("--vector", required=True)
     p.add_argument("--mode", choices=("frame", "parseval"), default="frame")
     p.add_argument("--max-tries", type=int, default=5, dest="max_tries")
@@ -410,8 +391,7 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
 
 def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = _load_json(args.config)
         if not isinstance(overrides, dict):
             raise InvalidParameterError("config file must hold a JSON object")
         commands = next(a for a in parser._actions

@@ -92,10 +92,18 @@ def analysis_op(rep: ProjectiveRep, xi) -> np.ndarray:
     return _orbit(rep, xi).conj()
 
 
+def _frame_operators(orbits: np.ndarray) -> np.ndarray:
+    """S = Theta* Theta of each (..., |G|, dim) orbit, rejected if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = orbits.swapaxes(-1, -2) @ orbits.conj()
+    if not np.isfinite(s).all():
+        raise InvalidParameterError("the orbit overflows, or the vector is not finite")
+    return s
+
+
 def frame_operator(rep: ProjectiveRep, xi) -> np.ndarray:
     """S = Theta* Theta = sum_g (pi(g) xi)(pi(g) xi)*; PSD, commutes with pi."""
-    orbit = _orbit(rep, xi)
-    return orbit.T @ orbit.conj()
+    return _frame_operators(_orbit(rep, xi))
 
 
 def gram_matrix(rep: ProjectiveRep, xi) -> np.ndarray:
@@ -153,7 +161,7 @@ def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     # bit, as a single vector's orbit rep.matrices @ x
     orbits = (rep.matrices[None] @ x[:, None, :, None])[..., 0]  # (k, |G|, dim)
     n, d = rep.group.order, rep.dim
-    w, _ = hermitian_eig(orbits.swapaxes(1, 2) @ orbits.conj())
+    w, _ = hermitian_eig(_frame_operators(orbits))
     lam_max = np.maximum(w[:, -1], 0.0)
     nonzero = (w > rank_tol * lam_max[:, None]) & (lam_max > 0.0)[:, None]
     span_dim = np.count_nonzero(nonzero, axis=1)
@@ -199,8 +207,9 @@ def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np
     applying the inverse square root of the frame operator (pseudo-inverse
     on the support).  The orbit span is unchanged."""
     x = np.asarray(xi, dtype=complex).reshape(-1)
-    if np.linalg.norm(x) == 0.0:
-        raise InvalidParameterError("cannot Parseval-normalize the zero vector")
+    with np.errstate(over="ignore"):  # an overflowing orbit fails frame_operator
+        if np.linalg.norm(x) == 0.0:
+            raise InvalidParameterError("cannot Parseval-normalize the zero vector")
     s = frame_operator(rep, x)
     return psd_power(s, -0.5, rank_tol) @ x
 
@@ -294,8 +303,9 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     if max_tries < 0:
         raise InvalidParameterError(f"number of tries must be >= 0, got {max_tries}")
     x = np.asarray(eta, dtype=complex).reshape(-1)
-    if np.linalg.norm(x) == 0.0:
-        raise InvalidParameterError("eta must be nonzero")
+    with np.errstate(over="ignore"):  # an overflowing orbit fails its frame operator
+        if np.linalg.norm(x) == 0.0:
+            raise InvalidParameterError("eta must be nonzero")
     if not is_frame_representation(rep, seed, rank_tol=rank_tol):
         raise InvalidParameterError(
             "representation admits no complete frame vector; dilation is impossible"

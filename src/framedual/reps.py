@@ -133,7 +133,7 @@ class ProjectiveRep:
                 f"group average of {self.label} keeps {int(keep.sum())} dimensions "
                 f"but its trace is {expected:.6f}"
             )
-        return OperatorSubspace(v[:, keep].T.reshape(-1, d, d))
+        return OperatorSubspace(v[:, keep].T.reshape(-1, d, d), _owned=True)
 
     def algebra(self, rank_tol: float = RANK_TOL) -> OperatorSubspace:
         """pi(G)'', the span of the image: a projective unitary family is

@@ -184,8 +184,6 @@ def sweep_report_to_csv_rows(r: SweepReport) -> list[list]:
 
 def parse_group_spec(spec) -> FiniteGroup:
     """Accept "Z12", products like "Z2xZ4", or a Cayley-table document."""
-    if isinstance(spec, FiniteGroup):
-        return spec
     if isinstance(spec, dict):
         return group_from_json(spec)
     text = str(spec).strip()
@@ -208,8 +206,6 @@ def parse_group_spec(spec) -> FiniteGroup:
 def parse_multiplier_spec(group: FiniteGroup, spec) -> Multiplier:
     """Accept "trivial", "heisenberg" (square product groups only), or a
     multiplier table document."""
-    if isinstance(spec, Multiplier):
-        return spec
     if isinstance(spec, dict):
         return multiplier_from_json(group, spec)
     text = str(spec).strip().lower()
@@ -231,21 +227,21 @@ def parse_multiplier_spec(group: FiniteGroup, spec) -> Multiplier:
     raise InvalidParameterError(f"cannot parse multiplier spec {spec!r}")
 
 
+def _integers(spec, what: str) -> list[int]:
+    """Integers from an "a,b,c" string or a sequence."""
+    parts = spec.split(",") if isinstance(spec, str) else spec
+    try:
+        return [int(p) for p in parts]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot parse {what} {spec!r}: {exc}") from exc
+
+
 def parse_lattice_spec(spec) -> GaborLattice:
     """Accept "N,a,b" strings or [N, a, b] sequences."""
-    if isinstance(spec, GaborLattice):
-        return spec
-    if isinstance(spec, str):
-        parts = [p.strip() for p in spec.split(",")]
-    else:
-        parts = list(spec)
+    parts = _integers(spec, "lattice spec")
     if len(parts) != 3:
         raise InvalidParameterError(f"lattice spec needs three values, got {spec!r}")
-    try:
-        n, a, b = (int(p) for p in parts)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"cannot parse lattice spec {spec!r}: {exc}") from exc
-    return GaborLattice(n, a, b)
+    return GaborLattice(*parts)
 
 
 def _checked_custom_rep(doc) -> ProjectiveRep:
@@ -263,54 +259,75 @@ def _checked_custom_rep(doc) -> ProjectiveRep:
     return rep
 
 
-def resolve_rep_spec(doc: dict) -> ProjectiveRep:
-    """Build a representation from {"kind": ...} documents.
+REQUIRED = "required"
 
-    kinds: "regular" (left regular; fields group, multiplier, side),
-    "gabor" (field lattice), "character" (fields n, freqs), "custom"
-    (field rep holding a full representation bundle).
-    """
+# Each kind of spec document with the fields it reads: the default of each,
+# or REQUIRED.  A document that names no kind is "regular".  The command
+# line reads its kind flags through these tables too.
+REP_KINDS = {"regular": {"group": "Z4", "multiplier": "trivial", "side": "left"},
+             "gabor": {"lattice": REQUIRED},
+             "character": {"n": REQUIRED, "freqs": REQUIRED},
+             "custom": {"rep": REQUIRED}}
+PAIR_KINDS = {"regular": {"group": "Z4", "multiplier": "trivial"},
+              "gabor": {"lattice": REQUIRED},
+              "custom": {"pi": REQUIRED, "sigma": REQUIRED}}
+
+
+def spec_fields(kinds: dict, doc) -> tuple[str, dict]:
+    """The kind a spec document names and every field that kind reads, an
+    absent optional one at its default.  An unknown kind, a field the kind
+    does not read and a missing required field raise InvalidParameterError."""
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"a spec must be a JSON object, got {doc!r}")
     kind = str(doc.get("kind", "regular")).lower()
-    if kind == "regular":
-        group = parse_group_spec(doc.get("group", "Z4"))
-        mu = parse_multiplier_spec(group, doc.get("multiplier", "trivial"))
-        side = str(doc.get("side", "left")).lower()
-        if side == "left":
-            return left_regular(group, mu)
-        if side == "right":
-            return right_regular(group, mu)
-        raise InvalidParameterError(f"unknown side {side!r}")
+    if kind not in kinds:
+        raise InvalidParameterError(f"unknown kind {kind!r}; expected one of {', '.join(kinds)}")
+    defaults = kinds[kind]
+    unread = [str(name) for name in doc if name != "kind" and name not in defaults]
+    if unread:
+        raise InvalidParameterError(
+            f"a {kind} spec does not read {', '.join(unread)}; it reads {', '.join(defaults)}")
+    missing = [name for name, value in defaults.items() if value is REQUIRED and name not in doc]
+    if missing:
+        raise InvalidParameterError(f"a {kind} spec needs {', '.join(missing)}")
+    return kind, {name: doc.get(name, value) for name, value in defaults.items()}
+
+
+def resolve_rep_spec(doc: dict) -> ProjectiveRep:
+    """Build a representation from a {"kind": ...} document with the fields
+    REP_KINDS lists: "regular" (left or right regular), "gabor", "character"
+    (a diagonal character family of Z_n) or "custom" (a full bundle)."""
+    kind, f = spec_fields(REP_KINDS, doc)
     if kind == "gabor":
-        return gabor_rep(parse_lattice_spec(doc["lattice"]))
+        return gabor_rep(parse_lattice_spec(f["lattice"]))
     if kind == "character":
-        return character_subrep(int(doc["n"]), doc["freqs"])
+        return character_subrep(*_integers([f["n"]], "n"), _integers(f["freqs"], "freqs"))
     if kind == "custom":
-        return _checked_custom_rep(doc["rep"])
-    raise InvalidParameterError(f"unknown representation kind {kind!r}")
+        return _checked_custom_rep(f["rep"])
+    group = parse_group_spec(f["group"])
+    mu = parse_multiplier_spec(group, f["multiplier"])
+    build = {"left": left_regular, "right": right_regular}.get(str(f["side"]).lower())
+    if build is None:
+        raise InvalidParameterError(f"unknown side {f['side']!r}")
+    return build(group, mu)
 
 
 def resolve_pair_spec(doc: dict):
-    """Build (pi, sigma, label) from {"kind": "regular"|"gabor"|"custom"}.
-
-    Regular pairs are (left, right) over one group and multiplier, gabor
-    pairs use the adjoint lattice, custom pairs carry two full bundles.
-    """
-    kind = str(doc.get("kind", "regular")).lower()
-    if kind == "regular":
-        group = parse_group_spec(doc.get("group", "Z4"))
-        mu = parse_multiplier_spec(group, doc.get("multiplier", "trivial"))
-        mu_name = doc.get("multiplier", "trivial")
-        mu_label = mu_name if isinstance(mu_name, str) else "custom"
-        pi, sigma = make_regular_pair(group, mu)
-        return pi, sigma, f"regular[{group.label},{mu_label}]"
+    """Build (pi, sigma, label) from a {"kind": ...} document with the fields
+    PAIR_KINDS lists.  Regular pairs are (left, right) over one group and
+    multiplier, gabor pairs use the adjoint lattice, custom pairs carry two
+    full bundles."""
+    kind, f = spec_fields(PAIR_KINDS, doc)
     if kind == "gabor":
-        lattice = parse_lattice_spec(doc["lattice"])
+        lattice = parse_lattice_spec(f["lattice"])
         pi, sigma = make_gabor_pair(lattice)
         adj = adjoint_lattice(lattice)
         return pi, sigma, (f"gabor[{lattice.n};{lattice.a},{lattice.b}]"
                            f"/adjoint[{adj.n};{adj.a},{adj.b}]")
     if kind == "custom":
-        pi = _checked_custom_rep(doc["pi"])
-        sigma = _checked_custom_rep(doc["sigma"])
+        pi, sigma = _checked_custom_rep(f["pi"]), _checked_custom_rep(f["sigma"])
         return pi, sigma, f"custom[{pi.label}/{sigma.label}]"
-    raise InvalidParameterError(f"unknown pair kind {kind!r}")
+    group = parse_group_spec(f["group"])
+    pi, sigma = make_regular_pair(group, parse_multiplier_spec(group, f["multiplier"]))
+    mu_label = f["multiplier"] if isinstance(f["multiplier"], str) else "custom"
+    return pi, sigma, f"regular[{group.label},{mu_label}]"

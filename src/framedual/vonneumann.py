@@ -16,7 +16,7 @@ representation route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -28,10 +28,11 @@ from .linalg import ORTH_TOL, RANK_TOL, Subspace, subspace_angle_residual, subsp
 class OperatorSubspace:
     """A linear subspace of d x d matrices with an HS-orthonormal basis."""
 
-    basis: np.ndarray  # shape (k, d, d)
+    basis: np.ndarray  # shape (k, d, d), a read-only copy of the caller's array
+    _owned: InitVar[bool] = False  # True for a basis the library just made: no copy
 
-    def __post_init__(self):
-        b = np.ascontiguousarray(self.basis, dtype=complex)
+    def __post_init__(self, _owned):
+        b = np.array(self.basis, dtype=complex, order="C", copy=None if _owned else True)
         if b.ndim != 3 or b.shape[1] != b.shape[2]:
             raise InvalidParameterError("basis must be a stack of square matrices")
         k, d = b.shape[0], b.shape[1]
@@ -65,7 +66,7 @@ class OperatorSubspace:
         if m.shape[0] == 0:
             return cls(np.zeros((0, d, d), dtype=complex))
         sub = Subspace.from_columns(m.reshape(m.shape[0], d * d).T, rank_tol=rank_tol)
-        return cls(sub.basis.T.reshape(sub.dim, d, d))
+        return cls(sub.basis.T.reshape(sub.dim, d, d), _owned=True)
 
     def vectorized(self) -> Subspace:
         """The same subspace viewed inside C^{d^2} (row-major vec)."""
@@ -103,7 +104,7 @@ def commutant(ops, rank_tol: float = RANK_TOL) -> OperatorSubspace:
     scale = max(float(s[0]), float(np.linalg.norm(mats, axis=(1, 2)).max()))
     kernel_rows = vh[s <= rank_tol * scale]
     basis = kernel_rows.conj().reshape(-1, d, d)
-    return OperatorSubspace(basis)
+    return OperatorSubspace(basis, _owned=True)
 
 
 def double_commutant(ops, rank_tol: float = RANK_TOL) -> OperatorSubspace:
@@ -147,7 +148,7 @@ def center(space: OperatorSubspace, rank_tol: float = RANK_TOL) -> OperatorSubsp
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     cut = rank_tol * max(s[0], 1.0)
     basis = vh[s <= cut].conj().reshape(-1, d, d)
-    return OperatorSubspace(basis)
+    return OperatorSubspace(basis, _owned=True)
 
 
 def is_factor(space: OperatorSubspace, rank_tol: float = RANK_TOL) -> bool:

@@ -452,3 +452,113 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, command, flag
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+
+# The kind flags each --rep / --pair kind reads; every other kind flag of the
+# subcommand is one the kind would ignore.
+KIND_READS = {
+    "rep": {"regular": {"group", "multiplier", "side"}, "gabor": {"lattice"},
+            "character": {"N", "freqs"}, "custom": {"rep_json"}},
+    "pair": {"regular": {"group", "multiplier"}, "gabor": {"lattice"},
+             "custom": {"pi_json", "sigma_json"}},
+}
+# Subcommand: (--rep or --pair, arguments that make the call exit 0).
+KIND_COMMANDS = {
+    "classify": ("rep", ["--vector", "1,2,3,4"]),
+    "commutant": ("rep", []),
+    "dilate": ("rep", ["--vector", "1,2,3,4"]),
+    "certify-pair": ("pair", ["--n", "2"]),
+    "verify-duality": ("pair", ["--vector", "1,2,3,4"]),
+    "sweep": ("pair", ["--n", "2"]),
+}
+# A value of each kind flag that builds a 4-dimensional representation.
+KIND_VALUES = {"group": "Z4", "multiplier": "trivial", "side": "right", "lattice": "4,2,2",
+               "N": 4, "freqs": "0,1,2,3", "rep_json": "{left}", "pi_json": "{left}",
+               "sigma_json": "{right}"}
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    from framedual import left_regular, right_regular, trivial_multiplier
+
+    g = cyclic_group(4)
+    out = {}
+    for side, build in (("left", left_regular), ("right", right_regular)):
+        path = tmp_path_factory.mktemp("bundles") / f"{side}.json"
+        path.write_text(json.dumps(serialize.rep_to_json(build(g, trivial_multiplier(g)))))
+        out["{" + side + "}"] = str(path)
+    return out
+
+
+@pytest.mark.parametrize("command, kind, dest", [
+    (command, kind, dest)
+    for command, (selector, _) in KIND_COMMANDS.items()
+    for kind in KIND_READS[selector]
+    for dest in sorted(set().union(*KIND_READS[selector].values()))
+])
+def test_kind_flags_exit_2_unless_the_kind_reads_them(tmp_path, capsys, bundles,
+                                                     command, kind, dest):
+    selector, extra = KIND_COMMANDS[command]
+    reads = KIND_READS[selector][kind]
+
+    def value_of(name):
+        return bundles.get(KIND_VALUES[name], KIND_VALUES[name])
+
+    # the flags the kind requires besides the one under test; regular has defaults
+    required = [] if kind == "regular" else [
+        arg for other in sorted(reads - {dest})
+        for arg in ("--" + other.replace("_", "-"), str(value_of(other)))]
+    argv = [command, f"--{selector}", kind, *required, *extra]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: value_of(dest)}))
+    out = tmp_path / "report.json"
+    for given in (["--" + dest.replace("_", "-"), str(value_of(dest))], ["--config", str(cfg)]):
+        out.unlink(missing_ok=True)
+        code = main([*argv, *given, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        if dest not in reads:
+            assert code == 2 and not out.exists(), given
+            continue
+        assert code == 0, given
+        # the echo names the kind and the flags it reads, at their effective values
+        config = json.loads(out.read_text())["meta"]["config"]
+        assert config[selector] == kind and config[dest] == value_of(dest)
+        assert set(config) & set().union(*KIND_READS[selector].values()) == reads
+
+
+@pytest.mark.parametrize("argv, conflict", [
+    (["classify", "--group", "Z2", "--vector", "1,0"], {"format": "json"}),
+    (["validate", "--rep-json", "{left}"], {"multiplier": "trivial"}),
+    (["validate", "--rep-json", "{left}"], {"group": "Z4"}),
+    (["validate", "--rep-json", "{left}"], {"N": 4}),
+    (["validate", "--group", "Z3"], {"N": 3}),
+])
+def test_flags_that_would_go_unread_exit_2(tmp_path, capsys, bundles, argv, conflict):
+    argv = [bundles.get(arg, arg) for arg in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (key, value), = conflict.items()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(conflict))
+    for given in (["--" + key, str(value)], ["--config", str(cfg)]):
+        assert main([*argv, *given]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "Z4", "--vector", "1e160,0,0,0"],
+    ["verify-duality", "--group", "Z4", "--vector", "1e160,0,0,0"],
+    ["gabor", "--lattice", "4,2,2", "--window", "1e160,0,0,0"],
+    ["dilate", "--group", "Z4", "--vector", "1e160,0,0,0"],
+    ["dilate", "--group", "Z4", "--vector", "1e160,0,0,0", "--mode", "parseval"],
+])
+def test_overflowing_orbit_exit_2_without_warnings(capsys, argv):
+    # RuntimeWarnings are errors under this suite's settings, so a warning
+    # on the way would end as an internal error (exit 3)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("framedual: invalid input: the orbit overflows, "
+                            "or the vector is not finite\n")

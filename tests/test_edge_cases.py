@@ -7,7 +7,6 @@ from framedual import (
     certify_dual_pair,
     character_subrep,
     classify,
-    commutant,
     cyclic_group,
     duality_sweep,
     gabor_rep,
@@ -19,6 +18,7 @@ from framedual import (
     verify_rep,
     zak_transform,
 )
+from framedual.vonneumann import commutant
 
 
 def test_trivial_group_regular_pair():

@@ -11,7 +11,6 @@ from framedual import (
     adjoint_lattice,
     classify,
     cyclic_group,
-    derive_multiplier,
     direct_product,
     frame_operator,
     gabor_rep,
@@ -21,6 +20,7 @@ from framedual import (
     verify_rep,
     zak_transform,
 )
+from framedual.reps import derive_multiplier
 from framedual.linalg import random_complex_vector, substream
 
 

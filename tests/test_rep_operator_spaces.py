@@ -10,11 +10,8 @@ from framedual import (
     NotProjectiveError,
     ProjectiveRep,
     adjoint_lattice,
-    center,
     character_subrep,
-    commutant,
     cyclic_group,
-    double_commutant,
     gabor_rep,
     heisenberg_multiplier,
     left_regular,
@@ -24,7 +21,7 @@ from framedual import (
 )
 from conftest import random_reps
 from framedual.linalg import dft_matrix, random_unitary, substream
-from framedual.vonneumann import operator_subspace_residual
+from framedual.vonneumann import center, commutant, double_commutant, operator_subspace_residual
 
 ORACLE_TOL = 1e-10  # principal-angle residual against the Sylvester route
 

@@ -15,7 +15,6 @@ from framedual import (
     character_subrep,
     conjugate_multiplier,
     cyclic_group,
-    derive_multiplier,
     direct_product,
     from_cayley_table,
     gabor_rep,
@@ -29,6 +28,7 @@ from framedual import (
     validate_multiplier,
     verify_rep,
 )
+from framedual.reps import derive_multiplier
 from conftest import coboundary, dihedral_cayley, quaternion_cayley, random_cocycle
 from framedual.linalg import dft_matrix, random_complex_vector, random_unitary, substream
 

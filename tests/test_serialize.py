@@ -112,6 +112,43 @@ def test_resolve_rep_spec_kinds():
     assert rep.group.order == 8
 
 
+@pytest.mark.parametrize("resolve, doc, message", [
+    # an unknown kind
+    (serialize.resolve_rep_spec, {"kind": "spiral"}, "unknown kind"),
+    (serialize.resolve_pair_spec, {"kind": "character", "n": 4, "freqs": [0]}, "unknown kind"),
+    # a field the kind does not read
+    (serialize.resolve_rep_spec, {"kind": "gabor", "lattice": "8,2,2", "group": "Z9"},
+     "does not read group"),
+    (serialize.resolve_pair_spec, {"kind": "gabor", "lattice": "8,2,2", "group": "Z9"},
+     "does not read group"),
+    (serialize.resolve_rep_spec, {"group": "Z4", "lattice": "8,2,2"}, "does not read lattice"),
+    (serialize.resolve_pair_spec, {"kind": "regular", "side": "right"}, "does not read side"),
+    # a missing required field
+    (serialize.resolve_rep_spec, {"kind": "gabor"}, "needs lattice"),
+    (serialize.resolve_rep_spec, {"kind": "character", "n": 4}, "needs freqs"),
+    (serialize.resolve_pair_spec, {"kind": "custom", "pi": {}}, "needs sigma"),
+    # an unparseable field
+    (serialize.resolve_rep_spec, {"kind": "character", "n": "x", "freqs": [0]}, "cannot parse n"),
+    (serialize.resolve_rep_spec, {"kind": "character", "n": 4, "freqs": "1,x"},
+     "cannot parse freqs"),
+    (serialize.resolve_rep_spec, {"kind": "character", "n": 4, "freqs": 5}, "cannot parse freqs"),
+    (serialize.resolve_pair_spec, {"kind": "gabor", "lattice": 8}, "cannot parse lattice"),
+    (serialize.resolve_rep_spec, {"kind": "regular", "side": "up"}, "unknown side"),
+    (serialize.resolve_pair_spec, ["regular"], "must be a JSON object"),
+])
+def test_spec_documents_are_read_through_the_kind_tables(resolve, doc, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        resolve(doc)
+
+
+def test_spec_defaults_come_from_the_kind_tables():
+    assert serialize.spec_fields(serialize.REP_KINDS, {}) == (
+        "regular", {"group": "Z4", "multiplier": "trivial", "side": "left"})
+    _, _, label = serialize.resolve_pair_spec({})
+    assert label == "regular[Z4,trivial]"
+    assert serialize.resolve_rep_spec({"kind": "character", "n": "4", "freqs": "0,2"}).dim == 2
+
+
 def test_sweep_report_round_trip_through_json():
     g = cyclic_group(4)
     lam, rho = make_regular_pair(g, trivial_multiplier(g))

@@ -6,24 +6,20 @@ import pytest
 from framedual import (
     InvalidParameterError,
     OperatorSubspace,
-    center,
-    commutant,
     contains,
     cyclic_group,
-    double_commutant,
     frame_operator,
     gabor_rep,
     GaborLattice,
     heisenberg_multiplier,
-    is_factor,
     left_regular,
     right_regular,
-    trace_state,
     trivial_multiplier,
 )
 from framedual.gabor import modulation, translation
 from framedual.linalg import random_complex_vector, substream
-from framedual.vonneumann import operator_subspaces_equal
+from framedual.vonneumann import (center, commutant, double_commutant, is_factor,
+                                  operator_subspaces_equal, trace_state)
 
 
 def test_commutant_of_identity_is_everything():
@@ -39,6 +35,15 @@ def test_commutant_of_regular_rep_is_right_regular_span():
     assert comm.dim == 5
     rho_span = OperatorSubspace.from_matrices(rho.matrices)
     assert operator_subspaces_equal(comm, rho_span)
+
+
+def test_operator_subspace_copies_the_callers_basis():
+    basis = np.zeros((1, 2, 2), dtype=complex)
+    basis[0, 0, 0] = 1.0
+    space = OperatorSubspace(basis)
+    assert space.basis is not basis and not space.basis.flags.writeable
+    basis[0, 0, 0] = 0.0  # the caller's array stays its own and writable
+    assert space.basis[0, 0, 0] == 1.0 and space.dim == 1
 
 
 def test_commutant_of_irreducible_pair_is_scalars():
