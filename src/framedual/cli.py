@@ -437,7 +437,7 @@ def main(argv=None) -> int:
         _check_tolerances(args)
         code = args.func(args)
     except (InvalidParameterError, InvalidPairError, OSError,
-            json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"framedual: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SearchExhaustedError as exc:  # more tries may succeed: not a counterexample

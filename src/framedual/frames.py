@@ -9,6 +9,12 @@ coefficient sequence (<y, pi(g) xi>)_g, i.e. its matrix has row g equal to
 the conjugate of pi(g) xi.  The frame operator is S = Theta* Theta (dim x
 dim) and the Gram matrix is Theta Theta* (|G| x |G|).
 
+Each decision is made once: _orbits is the only product of vectors with
+an operator stack, every rank (eigenvalues of S, singular values of an
+analysis matrix) is cut by linalg.nonzero_mask, so classification and the
+range routes agree on every orbit dimension, and classify's Parseval flag
+also certifies dilation.
+
 Classification reads its flags from one eigendecomposition of S.  S and the
 Gram matrix have the same nonzero spectrum, so the dimension of the orbit
 span decides both completeness (span = dim) and the Riesz property (span =
@@ -25,7 +31,7 @@ means the package itself is inconsistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,7 +49,9 @@ from .linalg import (
     RANK_TOL,
     Subspace,
     hermitian_eig,
+    nonzero_mask,
     psd_power,
+    random_complex_block,
     random_complex_vector,
     rank_and_range,
     subspace_equal,
@@ -77,19 +85,29 @@ class FrameClassification:
     flag_tolerance: float
 
 
-def _orbit(rep: ProjectiveRep, xi) -> np.ndarray:
-    x = np.asarray(xi, dtype=complex).reshape(-1)
-    if x.size != rep.dim:
+def _orbits(ops: np.ndarray, xs) -> np.ndarray:
+    """The (m, d, d) stack ops (an image, or a commutant or algebra basis)
+    applied to one vector, shape (m, d), or to each row of a (k, d) block,
+    shape (k, m, d), bit for bit as ops @ x.  A wrong length or a non-finite
+    entry is rejected before any arithmetic; an overflowing orbit fails the
+    finiteness check of its frame operator or of rank_and_range."""
+    x = np.asarray(xs, dtype=complex)
+    d = ops.shape[-1]
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise InvalidParameterError(
-            f"vector length {x.size} does not match representation dim {rep.dim}"
-        )
-    return rep.matrices @ x  # shape (|G|, dim)
+            f"vector of shape {x.shape} does not match representation dim {d}")
+    if not np.isfinite(x).all():
+        raise InvalidParameterError("vector entries must be finite")
+    block = x if x.ndim == 2 else x[None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbits = (ops[None] @ block[:, None, :, None])[..., 0]
+    return orbits if x.ndim == 2 else orbits[0]
 
 
 def analysis_op(rep: ProjectiveRep, xi) -> np.ndarray:
     """Matrix of the analysis map y -> (<y, pi(g) xi>)_g, shape (|G|, dim);
     row g is conj(pi(g) xi)."""
-    return _orbit(rep, xi).conj()
+    return _orbits(rep.matrices, xi).conj()
 
 
 def _frame_operators(orbits: np.ndarray) -> np.ndarray:
@@ -103,12 +121,12 @@ def _frame_operators(orbits: np.ndarray) -> np.ndarray:
 
 def frame_operator(rep: ProjectiveRep, xi) -> np.ndarray:
     """S = Theta* Theta = sum_g (pi(g) xi)(pi(g) xi)*; PSD, commutes with pi."""
-    return _frame_operators(_orbit(rep, xi))
+    return _frame_operators(_orbits(rep.matrices, xi))
 
 
 def gram_matrix(rep: ProjectiveRep, xi) -> np.ndarray:
     """Gram[g, h] = <pi(h) xi, pi(g) xi>."""
-    orbit = _orbit(rep, xi)
+    orbit = _orbits(rep.matrices, xi)
     return orbit.conj() @ orbit.T
 
 
@@ -128,18 +146,9 @@ class BlockClassification:
     flag_tolerance: float
 
     def row(self, k: int) -> FrameClassification:
-        return FrameClassification(
-            orbit_span_dim=int(self.orbit_span_dim[k]),
-            lower_bound=float(self.lower_bound[k]),
-            upper_bound=float(self.upper_bound[k]),
-            is_complete_frame=bool(self.is_complete_frame[k]),
-            is_frame_sequence=bool(self.is_frame_sequence[k]),
-            is_parseval=bool(self.is_parseval[k]),
-            is_riesz_sequence=bool(self.is_riesz_sequence[k]),
-            is_orthonormal=bool(self.is_orthonormal[k]),
-            rank_tolerance=self.rank_tolerance,
-            flag_tolerance=self.flag_tolerance,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return FrameClassification(**{name: v[k].item() if isinstance(v, np.ndarray) else v
+                                      for name, v in values.items()})
 
 
 def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
@@ -152,21 +161,14 @@ def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     dimension |G|.  The orthonormal flag is the entrywise Gram test at
     flag_tol, run only on Riesz rows (an orthonormal orbit is Riesz).
     """
-    x = np.asarray(xs, dtype=complex)
-    if x.ndim != 2 or x.shape[1] != rep.dim:
-        raise InvalidParameterError(
-            f"vector block of shape {x.shape} does not match representation dim {rep.dim}"
-        )
-    # one matrix-vector product per (row, g): the same arithmetic, bit for
-    # bit, as a single vector's orbit rep.matrices @ x
-    orbits = (rep.matrices[None] @ x[:, None, :, None])[..., 0]  # (k, |G|, dim)
+    if np.ndim(xs) != 2:
+        raise InvalidParameterError(f"vector block of shape {np.shape(xs)} is not (k, dim)")
+    orbits = _orbits(rep.matrices, xs)  # (k, |G|, dim)
     n, d = rep.group.order, rep.dim
     w, _ = hermitian_eig(_frame_operators(orbits))
-    lam_max = np.maximum(w[:, -1], 0.0)
-    nonzero = (w > rank_tol * lam_max[:, None]) & (lam_max > 0.0)[:, None]
-    span_dim = np.count_nonzero(nonzero, axis=1)
+    span_dim = np.count_nonzero(nonzero_mask(w, rank_tol), axis=1)
     spans = span_dim > 0
-    rows = np.arange(x.shape[0])
+    rows = np.arange(orbits.shape[0])
     lower = np.where(spans, w[rows, np.minimum(d - span_dim, d - 1)], 0.0)
     upper = np.where(spans, w[:, -1], 0.0)
 
@@ -198,8 +200,7 @@ def classify(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL,
     """Classify the orbit of xi: frame bounds on its span, completeness,
     Parseval property, Riesz and orthonormal sequence flags (a block of one
     for classify_block)."""
-    x = np.asarray(xi, dtype=complex).reshape(1, -1)
-    return classify_block(rep, x, rank_tol, flag_tol).row(0)
+    return classify_block(rep, np.reshape(xi, (1, -1)), rank_tol, flag_tol).row(0)
 
 
 def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -207,11 +208,9 @@ def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np
     applying the inverse square root of the frame operator (pseudo-inverse
     on the support).  The orbit span is unchanged."""
     x = np.asarray(xi, dtype=complex).reshape(-1)
-    with np.errstate(over="ignore"):  # an overflowing orbit fails frame_operator
-        if np.linalg.norm(x) == 0.0:
-            raise InvalidParameterError("cannot Parseval-normalize the zero vector")
-    s = frame_operator(rep, x)
-    return psd_power(s, -0.5, rank_tol) @ x
+    if not np.any(x):
+        raise InvalidParameterError("cannot Parseval-normalize the zero vector")
+    return psd_power(frame_operator(rep, x), -0.5, rank_tol) @ x
 
 
 def theta_range(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> Subspace:
@@ -221,9 +220,7 @@ def theta_range(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> Subspace:
 
 def commutant_orbit(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> Subspace:
     """Span of {K xi : K in the commutant of pi(G)}."""
-    x = np.asarray(xi, dtype=complex).reshape(-1)
-    cols = (rep.commutant().basis @ x).T  # (dim, k)
-    return rank_and_range(cols, rank_tol)[1]
+    return rank_and_range(_orbits(rep.commutant().basis, xi).T, rank_tol)[1]
 
 
 def _dual_route(rep, x, y, predicate, tol, rank_tol):
@@ -259,11 +256,8 @@ def is_frame_representation(rep: ProjectiveRep, seed: int = 0,
                             rank_tol: float = RANK_TOL) -> bool:
     """A representation admits a complete frame vector iff a generic orbit
     spans; three seeded draws decide this reliably."""
-    for t in range(3):
-        xi = random_complex_vector(substream(seed, 900_000 + t), rep.dim)
-        if classify(rep, xi, rank_tol).is_complete_frame:
-            return True
-    return False
+    draws = random_complex_block(seed, range(900_000, 900_003), rep.dim)
+    return bool(classify_block(rep, draws, rank_tol).is_complete_frame.any())
 
 
 @dataclass(frozen=True)
@@ -293,7 +287,7 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     commutant, which forces orthogonality of the analysis ranges).  In
     parseval mode eta is Parseval-normalized first, the candidate is further
     confined to the orbit-span complement and normalized there, and the sum
-    is certified to have frame operator equal to the identity.  Every return
+    is certified to be a complete Parseval frame vector.  Every return
     is gated by explicit certification; randomness only affects how many
     tries that takes, and SearchExhaustedError means max_tries were not
     enough.
@@ -303,9 +297,8 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     if max_tries < 0:
         raise InvalidParameterError(f"number of tries must be >= 0, got {max_tries}")
     x = np.asarray(eta, dtype=complex).reshape(-1)
-    with np.errstate(over="ignore"):  # an overflowing orbit fails its frame operator
-        if np.linalg.norm(x) == 0.0:
-            raise InvalidParameterError("eta must be nonzero")
+    if not np.any(x):
+        raise InvalidParameterError("eta must be nonzero")
     if not is_frame_representation(rep, seed, rank_tol=rank_tol):
         raise InvalidParameterError(
             "representation admits no complete frame vector; dilation is impossible"
@@ -316,14 +309,9 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     def certified(h, tries):
         if not pi_orthogonal(rep, base, h, route_tol, rank_tol):
             return None
-        target = base + h
-        cls = classify(rep, target, rank_tol, flag_tol)
-        if not cls.is_complete_frame:
+        cls = classify(rep, base + h, rank_tol, flag_tol)
+        if not cls.is_complete_frame or (mode == "parseval" and not cls.is_parseval):
             return None
-        if mode == "parseval":
-            s = frame_operator(rep, target)
-            if np.abs(s - np.eye(rep.dim)).max() > flag_tol:
-                return None
         return DilationResult(h=h, vector=base, mode=mode, tries=tries)
 
     result = certified(np.zeros(rep.dim, dtype=complex), 0)
@@ -331,17 +319,18 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
         return result
 
     away_from = commutant_orbit(rep, base, rank_tol).complement().projector()
-    orbit_cols = (rep.matrices @ base).T
-    span_perp = rank_and_range(orbit_cols, rank_tol)[1].complement().projector()
+    orbit_span = rank_and_range(_orbits(rep.matrices, base).T, rank_tol)[1]
+    span_perp = orbit_span.complement().projector()
 
     last_reason = "no candidate passed certification"
     for t in range(max_tries):
-        rng = substream(seed, t)
-        h = away_from @ random_complex_vector(rng, rep.dim)
+        draw = random_complex_vector(substream(seed, t), rep.dim)
+        h = away_from @ draw
         if mode == "parseval":
             h = span_perp @ h
-            norm = np.linalg.norm(h)
-            if norm < 1e-12:
+            # both projections are contractions: the draw sets the scale
+            if not nonzero_mask(np.linalg.norm(h), rank_tol, singular=True,
+                                scale=np.linalg.norm(draw)):
                 last_reason = "candidate collapsed to zero after projections"
                 continue
             h = psd_power(frame_operator(rep, h), -0.5, rank_tol) @ h
@@ -374,9 +363,10 @@ def orthogonal_range_witness(rep: ProjectiveRep, xi, eta_riesz,
     chi_e = np.zeros(n, dtype=complex)
     chi_e[rep.group.identity] = 1.0
     residual_coeff = chi_e - rng_sub.projector() @ chi_e
+    if not nonzero_mask(np.linalg.norm(residual_coeff), rank_tol, singular=True, scale=1.0):
+        raise ConstructionFailureError(
+            "the identity coefficient vector lies in the analysis range of xi")
     x = np.linalg.pinv(analysis_op(rep, eta_riesz)) @ residual_coeff
-    if np.linalg.norm(x) < 1e-12:
-        raise ConstructionFailureError("witness collapsed to zero unexpectedly")
     if not pi_orthogonal(rep, x, xi, route_tol, rank_tol=rank_tol):
         raise ConstructionFailureError("witness failed the orthogonality certificate")
     return x
@@ -392,9 +382,7 @@ def _hs_project(algebra: vonneumann.OperatorSubspace, x: np.ndarray) -> np.ndarr
 
 def _polar_partial_isometry(x: np.ndarray, rank_tol: float) -> np.ndarray:
     u, s, vh = np.linalg.svd(x)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(x)
-    r = int(np.count_nonzero(s > rank_tol * s[0]))
+    r = int(np.count_nonzero(nonzero_mask(s, rank_tol, singular=True)))
     return u[:, :r] @ vh[:r]
 
 
@@ -418,14 +406,13 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
     ParameterizationError, and CompletionExhaustedError (also a
     SearchExhaustedError) when max_tries completions all fail.
     """
-    x = np.asarray(xi_parseval, dtype=complex).reshape(-1)
-    y = np.asarray(eta, dtype=complex).reshape(-1)
-    if x.size != rep.dim or y.size != rep.dim:
-        raise InvalidParameterError("vector lengths do not match representation dim")
     if max_tries < 0:
         raise InvalidParameterError(f"number of tries must be >= 0, got {max_tries}")
+    x = np.asarray(xi_parseval, dtype=complex).reshape(-1)
+    y = np.asarray(eta, dtype=complex).reshape(-1)
+    cls = classify(rep, y, rank_tol)
     algebra = rep.algebra(rank_tol)
-    cols = (algebra.basis @ x).T  # (dim, k)
+    cols = _orbits(algebra.basis, x).T  # (dim, k)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     a = np.tensordot(coeffs, algebra.basis, axes=(0, 0))
     resid = float(np.linalg.norm(a @ x - y))
@@ -435,7 +422,6 @@ def bessel_parameterize(rep: ProjectiveRep, xi_parseval, eta,
             f"(residual {resid:.3e}); xi may not be a complete Parseval frame vector"
         )
 
-    cls = classify(rep, y, rank_tol)
     eye = np.eye(rep.dim)
 
     def structured_enough(m):

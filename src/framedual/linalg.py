@@ -1,9 +1,12 @@
 """Dense complex linear-algebra kernel: Hermitian eigendecomposition, rank and
 range decisions, semidefinite functional calculus, and subspace geometry.
 
-Everything operates on plain ``complex128`` numpy arrays.  Rank decisions use
-a single relative tolerance measured against the largest singular value (or
-eigenvalue) of the input, so all callers agree on where "zero" starts.
+Everything operates on plain ``complex128`` numpy arrays.  Every rank
+decision goes through one relative cut, nonzero_mask, on the energy scale:
+a PSD eigenvalue is zero up to ``rank_tol`` times the largest, a singular
+value (the root of an energy) up to ``sqrt(rank_tol)`` times the largest.
+eigh resolves eigenvalues only to about 1e-16 of the largest, so this is
+the one scale on which all callers can agree where "zero" starts.
 Randomness is always drawn from counter-based substreams keyed by
 ``(seed, index)``, which makes every sweep replayable and independent of
 execution order.
@@ -20,7 +23,7 @@ from .errors import InvalidParameterError
 # Default tolerances.  RANK_TOL is a per-call parameter and the CLI's --rank-tol;
 # EIG_TOL is a parameter of hermitian_eig only; ORTH_TOL is fixed.
 EIG_TOL = 1e-10    # relative Hermitian-defect gate for eigendecompositions
-RANK_TOL = 1e-9    # relative cutoff below which singular/eigenvalues count as zero
+RANK_TOL = 1e-9    # relative energy below which eigenvalues (squared singular values) are zero
 ORTH_TOL = 1e-10   # orthonormality slack accepted in stored bases
 
 _U64 = 0xFFFFFFFFFFFFFFFF
@@ -34,6 +37,17 @@ def as_matrix(a) -> np.ndarray:
     if m.size and not np.all(np.isfinite(m)):
         raise InvalidParameterError("matrix entries must be finite")
     return m
+
+
+def nonzero_mask(values, rank_tol: float = RANK_TOL, *, singular: bool = False,
+                 scale=None) -> np.ndarray:
+    """Which values lie above the zero cut: eigenvalues above ``rank_tol *
+    scale``, singular values above ``sqrt(rank_tol) * scale``.  ``scale``
+    defaults to the largest value along the last axis (at least 0)."""
+    v = np.asarray(values)
+    if scale is None:
+        scale = v.max(axis=-1, keepdims=True, initial=0.0)
+    return v > (np.sqrt(rank_tol) if singular else rank_tol) * scale
 
 
 def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -68,29 +82,27 @@ def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
 def psd_power(a, p: float, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Functional calculus ``a -> a**p`` for Hermitian PSD ``a``.
 
-    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero and
-    mapped to zero whatever ``p`` is, which realizes the pseudo-inverse
+    Eigenvalues that nonzero_mask cuts are treated as zero and mapped to zero
+    whatever ``p`` is, which realizes the pseudo-inverse
     convention for negative powers.  A negative eigenvalue beyond tolerance
     is an error.
     """
     w, v = hermitian_eig(a)
     amax = float(np.abs(w).max(initial=0.0))
-    if amax == 0.0:
-        return np.zeros_like(np.asarray(a, dtype=complex))
     if w[0] < -rank_tol * amax:
         raise InvalidParameterError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
         )
-    lam_max = max(float(w[-1]), 0.0)
-    support = w > rank_tol * lam_max
+    support = nonzero_mask(w, rank_tol)
     out = np.zeros_like(w)
     out[support] = w[support] ** p
     return (v * out) @ v.conj().T
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Subspace:
-    """A subspace of C^ambient_dim carried by an orthonormal column basis."""
+    """A subspace of C^ambient_dim carried by an orthonormal column basis
+    (== is identity; subspace_equal compares spans)."""
 
     ambient_dim: int
     basis: np.ndarray  # shape (ambient_dim, dim), orthonormal columns
@@ -117,12 +129,9 @@ class Subspace:
         c = np.asarray(cols, dtype=complex)
         if c.ndim == 1:
             c = c[:, None]
-        d = c.shape[0]
-        if c.shape[1] == 0 or not np.any(c):
-            return cls(d, np.zeros((d, 0), dtype=complex))
         u, s, _ = np.linalg.svd(c, full_matrices=False)
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
-        return cls(d, u[:, :rank])
+        rank = int(np.count_nonzero(nonzero_mask(s, rank_tol, singular=True)))
+        return cls(c.shape[0], u[:, :rank])
 
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T

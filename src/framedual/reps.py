@@ -338,50 +338,42 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
             f"phase[{g}, {i}] has modulus {abs(ph[g, i]):.6f}; pi({g}) is not unitary"
         )
 
-    if not (_generator_compositions_hold(group, mu, p, ph) and certify_multiplier(mu)):
-        for g in range(n):
-            support, target, resid = _monomial_composition(group, mu, p, ph, g)
-            if not np.array_equal(support, target):
-                h, i = np.argwhere(support != target)[0]
-                raise NotProjectiveError(
-                    f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
-                    f"entry in column {support[h, i]}, not {target[h, i]}"
-                )
-            if not resid.max() <= REP_TOL:
-                h, i = np.unravel_index(int(resid.argmax()), resid.shape)
-                raise NotProjectiveError(
-                    f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "
-                    f"{resid[h, i]:.3e} in row {i}"
-                )
+    gens = group.generating_set
+    certified = (gens.depth > 0
+                 and _composition_failure(group, mu, p, ph, gens.elements,
+                                          REP_TOL / (3 * gens.depth)) is None
+                 and certify_multiplier(mu))
+    if not certified:
+        failure = _composition_failure(group, mu, p, ph, range(n), REP_TOL)
+        if failure is not None:
+            raise NotProjectiveError(failure)
         _require_valid(group, mu)
 
     return ProjectiveRep._monomial(group, mu, p, ph, label=label)
 
 
-def _monomial_composition(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
-                          ph: np.ndarray, g: int):
-    """pi(g) pi(h) against mu(g, h) pi(gh) for every h, in monomial form:
-    (support, target, resid) with support[h, i] = perm[h, perm[g, i]] the
-    column of row i of the product, target[h, i] = perm[gh, i] the column it
-    must be, and resid[h, i] the distance of its value from mu(g, h) phase[gh, i]."""
+def _composition_failure(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
+                         ph: np.ndarray, elements, gate: float) -> str | None:
+    """monomial_rep's composition check of pi(g) pi(h) against mu(g, h) pi(gh)
+    for g in elements and every h: the message of the first failure, or None.
+
+    Row i of the product has its entry in column support[h, i] =
+    perm[h, perm[g, i]], which must be target[h, i] = perm[gh, i] exactly,
+    and its value must lie within gate of mu(g, h) phase[gh, i].
+    """
     cay = group.cayley
-    resid = np.abs(ph[g] * ph[:, p[g]] - mu.table[g][:, None] * ph[cay[g]])
-    return p[:, p[g]], p[cay[g]], resid
-
-
-def _generator_compositions_hold(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
-                                 ph: np.ndarray) -> bool:
-    """monomial_rep's composition check for g in the generating set only,
-    with phase residuals gated at REP_TOL / (3L)."""
-    gens = group.generating_set
-    if gens.depth == 0:
-        return False
-    gate = REP_TOL / (3 * gens.depth)
-    for g in gens.elements:
-        support, target, resid = _monomial_composition(group, mu, p, ph, g)
-        if not (np.array_equal(support, target) and resid.max() <= gate):
-            return False
-    return True
+    for g in elements:
+        support, target = p[:, p[g]], p[cay[g]]
+        if not np.array_equal(support, target):
+            h, i = np.argwhere(support != target)[0]
+            return (f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
+                    f"entry in column {support[h, i]}, not {target[h, i]}")
+        resid = np.abs(ph[g] * ph[:, p[g]] - mu.table[g][:, None] * ph[cay[g]])
+        if not resid.max() <= gate:  # a NaN residual fails too
+            h, i = np.unravel_index(int(resid.argmax()), resid.shape)
+            return (f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "
+                    f"{resid[h, i]:.3e} in row {i}")
+    return None
 
 
 def derive_multiplier(matrices, group: FiniteGroup, tol: float = 1e-8) -> Multiplier:

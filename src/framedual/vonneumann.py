@@ -24,9 +24,10 @@ from .errors import InvalidParameterError
 from .linalg import ORTH_TOL, RANK_TOL, Subspace, subspace_angle_residual, subspace_equal
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class OperatorSubspace:
-    """A linear subspace of d x d matrices with an HS-orthonormal basis."""
+    """A linear subspace of d x d matrices with an HS-orthonormal basis
+    (== is identity; operator_subspaces_equal compares spans)."""
 
     basis: np.ndarray  # shape (k, d, d), a read-only copy of the caller's array
     _owned: InitVar[bool] = False  # True for a basis the library just made: no copy

@@ -336,6 +336,19 @@ def test_unexpected_exception_exit_3(monkeypatch, capsys):
     assert "ZeroDivisionError" in err and "internal error" in err
 
 
+def test_key_error_is_a_program_fault_exit_3(monkeypatch, capsys):
+    # no input path raises KeyError, so one is a fault of the program
+    import framedual.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert main(["classify", "--group", "Z2", "--vector", "1,0"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "KeyError: 'missing'" in err and "internal error" in err
+
+
 def test_main_builds_the_parser_once(monkeypatch, capsys):
     import framedual.cli as cli
 
@@ -553,6 +566,9 @@ def test_flags_that_would_go_unread_exit_2(tmp_path, capsys, bundles, argv, conf
     ["gabor", "--lattice", "4,2,2", "--window", "1e160,0,0,0"],
     ["dilate", "--group", "Z4", "--vector", "1e160,0,0,0"],
     ["dilate", "--group", "Z4", "--vector", "1e160,0,0,0", "--mode", "parseval"],
+    # the orbit product itself overflows: a finite entry times a non-real phase
+    ["classify", "--rep", "character", "--N", "8", "--freqs", "1,3",
+     "--vector", "1.7e308+1.7e308j,1"],
 ])
 def test_overflowing_orbit_exit_2_without_warnings(capsys, argv):
     # RuntimeWarnings are errors under this suite's settings, so a warning
@@ -562,3 +578,18 @@ def test_overflowing_orbit_exit_2_without_warnings(capsys, argv):
     assert captured.out == ""
     assert captured.err == ("framedual: invalid input: the orbit overflows, "
                             "or the vector is not finite\n")
+
+
+@pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "infj"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "Z4", "--vector"],
+    ["verify-duality", "--group", "Z4", "--vector"],
+    ["gabor", "--lattice", "4,2,2", "--window"],
+    ["dilate", "--group", "Z4", "--vector"],
+    ["dilate", "--group", "Z4", "--mode", "parseval", "--vector"],
+])
+def test_non_finite_vector_entry_exit_2(capsys, argv, entry):
+    assert main([*argv, f"1,{entry},0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "framedual: invalid input: vector entries must be finite\n"

@@ -13,6 +13,7 @@ from framedual import (
     analysis_op,
     bessel_parameterize,
     classify,
+    classify_block,
     cyclic_group,
     dilate_to_complete,
     frame_operator,
@@ -26,6 +27,7 @@ from framedual import (
     pi_weakly_equivalent,
     trivial_multiplier,
 )
+from framedual.frames import _orbits, commutant_orbit, theta_range
 from framedual.linalg import (
     dft_matrix,
     random_complex_vector,
@@ -397,6 +399,53 @@ def test_witness_requires_riesz_eta():
     f = dft_matrix(2)
     with pytest.raises(InvalidParameterError):
         orthogonal_range_witness(lam, f[:, 0], f[:, 1])  # f1-orbit is not Riesz
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8])
+def test_classification_and_analysis_range_share_the_zero_cut(delta):
+    # the orbit's energies along the DFT basis are 1, 1, 1, delta^2: the
+    # eigenvalue route and the singular-value routes must cut the same one
+    lam = lam_of(4)
+    x = np.linalg.solve(np.fft.fft(np.eye(4)) / 2, np.array([1, 1, 1, delta]))
+    assert classify(lam, x).orbit_span_dim == 3
+    assert theta_range(lam, x).dim == 3 and commutant_orbit(lam, x).dim == 3
+    w = orthogonal_range_witness(lam, x, chi(4, 0))
+    assert np.any(w) and pi_orthogonal(lam, w, x)
+
+
+def test_witness_does_not_depend_on_the_scale_of_the_riesz_vector():
+    lam = lam_of(4)
+    xi = np.array([1, 1, 0, 0], dtype=complex)
+    w = orthogonal_range_witness(lam, xi, 1e12 * chi(4, 0))
+    assert np.any(w) and pi_orthogonal(lam, w, xi)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_non_finite_vector_entry_is_invalid_input(entry):
+    # rejected before any arithmetic: a warning would fail this suite
+    lam = lam_of(4)
+    x = np.array([entry, 1, 0, 0], dtype=complex)
+    calls = [classify, frame_operator, gram_matrix, analysis_op, parseval_normalize,
+             theta_range, commutant_orbit, dilate_to_complete,
+             lambda rep, v: orthogonal_range_witness(rep, v, chi(4, 0)),
+             lambda rep, v: bessel_parameterize(rep, chi(4, 0), v),
+             lambda rep, v: classify_block(rep, np.stack([chi(4, 0), v]))]
+    for call in calls:
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            call(lam, x)
+
+
+def test_orbit_block_rows_are_single_vector_orbits():
+    lam = lam_of(6)
+    xs = np.stack([random_complex_vector(substream(31, i), 6) for i in range(5)])
+    for ops in (lam.matrices, lam.commutant().basis, lam.algebra().basis):
+        block = _orbits(ops, xs)
+        assert block.shape == (5, ops.shape[0], 6)
+        for k in range(5):
+            np.testing.assert_array_equal(block[k], _orbits(ops, xs[k]))
+            np.testing.assert_allclose(block[k], ops @ xs[k], rtol=0, atol=1e-14)
+    with pytest.raises(InvalidParameterError, match="does not match"):
+        _orbits(lam.matrices, np.zeros(5))
 
 
 def test_witness_perp_to_commutant_orbit_of_target():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from framedual import InvalidParameterError, Subspace, hermitian_eig, psd_power, rank_and_range
 from framedual.linalg import (
     dft_matrix,
+    nonzero_mask,
     random_complex_block,
     random_complex_vector,
     random_unitary,
@@ -151,6 +152,22 @@ def test_subspace_equal_order_invariant():
     s1 = Subspace(3, e[:, [0, 1]])
     s2 = Subspace(3, e[:, [1, 0]])
     assert subspace_equal(s1, s2)
+
+
+def test_subspace_equality_is_identity():
+    # == compares objects and never raises; subspace_equal compares spans
+    s1, s2 = Subspace(2, np.eye(2)), Subspace(2, np.eye(2))
+    assert s1 == s1 and s1 != s2 and subspace_equal(s1, s2)
+
+
+def test_one_zero_cut_on_the_energy_scale():
+    # an eigenvalue is an energy, a singular value its root: one cut for both
+    energies = np.array([1.0, 2e-9, 5e-10])
+    np.testing.assert_array_equal(nonzero_mask(energies, 1e-9), [True, True, False])
+    np.testing.assert_array_equal(nonzero_mask(np.sqrt(energies), 1e-9, singular=True),
+                                  [True, True, False])
+    assert rank_and_range(np.diag(np.sqrt(energies)), 1e-9)[0] == 2
+    assert not nonzero_mask(np.zeros(3)).any() and not nonzero_mask(np.zeros(0)).any()
 
 
 def test_subspace_perp_and_neither():

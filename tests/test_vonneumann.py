@@ -46,6 +46,13 @@ def test_operator_subspace_copies_the_callers_basis():
     assert space.basis[0, 0, 0] == 1.0 and space.dim == 1
 
 
+def test_operator_subspace_equality_is_identity():
+    # == compares objects and never raises; operator_subspaces_equal compares spans
+    basis = np.eye(2)[None] / np.sqrt(2)
+    s1, s2 = OperatorSubspace(basis), OperatorSubspace(basis)
+    assert s1 == s1 and s1 != s2 and operator_subspaces_equal(s1, s2)
+
+
 def test_commutant_of_irreducible_pair_is_scalars():
     # modulation and translation act irreducibly on C^n
     for n in (3, 4, 5):
