@@ -8,7 +8,10 @@ in finite dimensions is automatically Bessel for sigma) and sigma admits a
 Riesz vector.  For dual pairs, three biconditional clauses tie the two orbit
 classifications of one and the same vector together; the sweep machinery
 hammers those clauses with seeded random and adversarial vectors and treats
-any failure as a counterexample worth dumping.
+any failure as a counterexample worth dumping.  Clauses read orbit flags
+only, so sweeps and the Riesz search take them from a rank certificate and
+run an eigendecomposition only where it stands aside or a counterexample
+needs its bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .errors import InvalidPairError, InvalidParameterError
 from .frames import (
     FLAG_TOL,
     FrameClassification,
+    _orbit_flags,
     classify,
     classify_block,
     gram_matrix,
@@ -170,7 +174,7 @@ def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
     if not riesz_blocked_by_dim:
         for i in range(n_samples):
             xi = random_complex_vector(substream(seed, _RIESZ_SEARCH_BASE + i), sigma.dim)
-            if classify(sigma, xi, rank_tol, flag_tol).is_riesz_sequence:
+            if _orbit_flags(sigma, xi[None], rank_tol, flag_tol).is_riesz_sequence[0]:
                 riesz_vector = xi
                 break
 
@@ -279,9 +283,12 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     pairs away from critical density, where a Parseval orbit on one side
     meets an orthogonal but not orthonormal orbit on the other; and only the
     frame-sequence clause for commuting pairs that are not dual.  Draw i
-    always uses substream (seed, i).  Vectors are classified in blocks of
-    SWEEP_BLOCK under both representations, and an inconsistent vector's
-    counterexample is built from its rows of the two block classifications.
+    always uses substream (seed, i).  The flags of each block of
+    SWEEP_BLOCK vectors come from frames._orbit_flags under both
+    representations, so a block that the rank certificate decides needs no
+    eigendecomposition.  An inconsistent vector's counterexample carries its
+    rows of classify_block run on the inconsistent vectors of its block
+    alone: the flags are the same, and the bounds those of classify.
     """
     if n_vectors < 0:
         raise InvalidParameterError(f"number of random draws must be >= 0, got {n_vectors}")
@@ -316,8 +323,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
         n_skipped += int(np.count_nonzero(~nonzero))
         block = block[nonzero]
         sources = [source for source, keep in zip(sources, nonzero) if keep]
-        pc = classify_block(pi, block, rank_tol, flag_tol)
-        sc = classify_block(sigma, block, rank_tol, flag_tol)
+        pc = _orbit_flags(pi, block, rank_tol, flag_tol)
+        sc = _orbit_flags(sigma, block, rank_tol, flag_tol)
         results = _clause_results(pc, sc, clauses)
         consistent = np.all(list(results.values()), axis=0)
         n_consistent += int(np.count_nonzero(consistent))
@@ -327,10 +334,15 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
                 gram = gram_matrix(sigma, block[k])
                 gram_defect = max(gram_defect,
                                   float(np.abs(gram - np.eye(sigma.group.order)).max()))
-        for k in np.flatnonzero(~consistent):
-            clause_row = {name: bool(row[k]) for name, row in results.items()}
-            verdict = DualityVerdict(block[k], pc.row(k), sc.row(k), clause_row, False)
-            counterexamples.append(SweepCounterexample(sources[k], verdict.vector, verdict))
+        bad = np.flatnonzero(~consistent)
+        if bad.size:
+            pc_bad = classify_block(pi, block[bad], rank_tol, flag_tol)
+            sc_bad = classify_block(sigma, block[bad], rank_tol, flag_tol)
+            for j, k in enumerate(bad):
+                clause_row = {name: bool(row[k]) for name, row in results.items()}
+                verdict = DualityVerdict(block[k], pc_bad.row(j), sc_bad.row(j), clause_row,
+                                         False)
+                counterexamples.append(SweepCounterexample(sources[k], verdict.vector, verdict))
 
     return SweepReport(
         label=label or f"{pi.label} / {sigma.label}",

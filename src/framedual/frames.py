@@ -21,7 +21,11 @@ span decides both completeness (span = dim) and the Riesz property (span =
 |G|, impossible when |G| > dim).  The orthonormal flag stays the entrywise
 Gram test at the flag tolerance, run only on Riesz orbits.  classify_block
 does this for a block of vectors with one batched LAPACK call; classify is
-a block of one.
+a block of one.  Callers that read flags only (sweeps, the
+frame-representation check, the Riesz search) go through _orbit_flags: a
+Cholesky certificate (linalg.full_rank_certificate) decides a block whose
+orbits all span min(dim, |G|) dimensions and none of which can be
+Parseval, and any other block is classified as by classify_block.
 
 Two predicates are computed along two independent routes each: once through
 ranges of analysis operators and once through commutant orbits.  The two
@@ -48,6 +52,7 @@ from .errors import (
 from .linalg import (
     RANK_TOL,
     Subspace,
+    full_rank_certificate,
     hermitian_eig,
     nonzero_mask,
     psd_power,
@@ -163,7 +168,12 @@ def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     """
     if np.ndim(xs) != 2:
         raise InvalidParameterError(f"vector block of shape {np.shape(xs)} is not (k, dim)")
-    orbits = _orbits(rep.matrices, xs)  # (k, |G|, dim)
+    return _classify_orbits(rep, _orbits(rep.matrices, xs), rank_tol, flag_tol)
+
+
+def _classify_orbits(rep: ProjectiveRep, orbits: np.ndarray, rank_tol: float,
+                     flag_tol: float) -> BlockClassification:
+    """classify_block on the (k, |G|, dim) orbits of its block."""
     n, d = rep.group.order, rep.dim
     w, _ = hermitian_eig(_frame_operators(orbits))
     span_dim = np.count_nonzero(nonzero_mask(w, rank_tol), axis=1)
@@ -201,6 +211,50 @@ def classify(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL,
     Parseval property, Riesz and orthonormal sequence flags (a block of one
     for classify_block)."""
     return classify_block(rep, np.reshape(xi, (1, -1)), rank_tol, flag_tol).row(0)
+
+
+@dataclass(frozen=True)
+class OrbitFlags:
+    """The flags of a BlockClassification, without its span and bounds."""
+
+    is_complete_frame: np.ndarray
+    is_frame_sequence: np.ndarray
+    is_parseval: np.ndarray
+    is_riesz_sequence: np.ndarray
+    is_orthonormal: np.ndarray
+
+
+def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
+                 flag_tol: float = FLAG_TOL) -> OrbitFlags:
+    """classify_block's flags for the rows of xs (shape (k, dim)), decided
+    without an eigendecomposition where a certificate can.
+
+    When linalg.full_rank_certificate holds for the orbits (conjugate
+    analysis operators: their product is the conjugate of S), every orbit
+    spans m = min(dim, |G|) dimensions on classify_block's cut, which fixes
+    the completeness and Riesz flags.  If moreover each trace lies farther
+    than m flag_tol + slack from m, no row is Parseval (its m nonzero
+    eigenvalues would lie within flag_tol of 1) and none is orthonormal (its
+    Gram diagonal would, and Riesz means m = |G|).  Any other block, and one
+    whose orbit overflows, is classified as classify_block does, from the
+    same orbits.
+    """
+    orbits = _orbits(rep.matrices, xs)
+    n, d = rep.group.order, rep.dim
+    m = min(n, d)
+    certificate = full_rank_certificate(orbits, rank_tol)
+    if certificate is not None:
+        trace, slack = certificate
+        if np.all(np.abs(trace - m) > m * flag_tol + slack):
+            is_frame_sequence = np.linalg.norm(orbits[:, rep.group.identity], axis=1) > 0.0
+            never = np.zeros_like(is_frame_sequence)
+            return OrbitFlags(is_complete_frame=is_frame_sequence & (m == d),
+                              is_frame_sequence=is_frame_sequence,
+                              is_parseval=never,
+                              is_riesz_sequence=np.full_like(never, m == n),
+                              is_orthonormal=never)
+    block = _classify_orbits(rep, orbits, rank_tol, flag_tol)
+    return OrbitFlags(**{f.name: getattr(block, f.name) for f in fields(OrbitFlags)})
 
 
 def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -257,7 +311,7 @@ def is_frame_representation(rep: ProjectiveRep, seed: int = 0,
     """A representation admits a complete frame vector iff a generic orbit
     spans; three seeded draws decide this reliably."""
     draws = random_complex_block(seed, range(900_000, 900_003), rep.dim)
-    return bool(classify_block(rep, draws, rank_tol).is_complete_frame.any())
+    return bool(_orbit_flags(rep, draws, rank_tol).is_complete_frame.any())
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ a PSD eigenvalue is zero up to ``rank_tol`` times the largest, a singular
 value (the root of an energy) up to ``sqrt(rank_tol)`` times the largest.
 eigh resolves eigenvalues only to about 1e-16 of the largest, so this is
 the one scale on which all callers can agree where "zero" starts.
+full_rank_certificate decides the same cut without eigenvalues, by one
+Cholesky factorization, whenever every eigenvalue clears it with a margin
+that covers rounding; otherwise it stands aside for eigh.
 Randomness is always drawn from counter-based substreams keyed by
 ``(seed, index)``, which makes every sweep replayable and independent of
 execution order.
@@ -28,6 +31,11 @@ ORTH_TOL = 1e-10   # orthonormality slack accepted in stored bases
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# the traces full_rank_certificate accepts: above, underflow costs under
+# eps of the trace; below, no product or eigendecomposition overflows
+_TRACE_MIN = np.finfo(float).tiny / np.finfo(float).eps
+_TRACE_MAX = np.finfo(float).max / 4
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite complex 2-d array."""
@@ -48,6 +56,73 @@ def nonzero_mask(values, rank_tol: float = RANK_TOL, *, singular: bool = False,
     if scale is None:
         scale = v.max(axis=-1, keepdims=True, initial=0.0)
     return v > (np.sqrt(rank_tol) if singular else rank_tol) * scale
+
+
+def full_rank_certificate(a, rank_tol: float = RANK_TOL):
+    """Certify, without eigenvalues, where nonzero_mask would cut the
+    spectrum hermitian_eig computes for the product A* A of every matrix A
+    in the stack a (shape (k, p, q)), or for its conjugate A^T conj(A),
+    which has the same spectrum and the same rounding bounds.
+
+    Let m = min(p, q), N = p + q, eps the machine epsilon and
+    delta = 32 N eps.  M is A* A (q x q) when q <= p, else A A* (p x p, the
+    Gram route); either way its spectrum is the nonzero spectrum of A* A,
+    and t = tr M = ||A||_F^2.  One batched Cholesky factorization runs on
+    M - (rank_tol + delta) tr(M) I.  If it succeeds for every matrix, the
+    eigenvalues hermitian_eig(A* A) returns above nonzero_mask's cut are
+    exactly the m largest, and those sum to within ``slack`` of the computed
+    trace.  Then the result is ``(trace, slack)``, arrays of shape (k,) with
+    slack = m delta trace.  Otherwise it is None: the factorization failed,
+    a product is not finite, a trace lies outside [tiny / eps, max / 4],
+    or, on the Gram route, rank_tol < m delta.
+
+    Why delta suffices.  Rounding errors are bounded relative to t (the
+    trace range keeps underflow below eps t and every product finite):
+    - a computed product with inner dimension at most N is off by at most
+      (N + 2) eps |A*| |A| entrywise, so by (N + 2) eps t in 2-norm, as
+      || |A*| |A| ||_F <= ||A||_F^2; so is the computed trace;
+    - hermitian_eig's eigenvalues are those of its symmetrized computed
+      product up to a backward error of q eps ||A* A||_2 (LAPACK's "modest
+      function of the order" taken as the order), so each lies within
+      (N + 3) eps t of the exact one (Weyl's inequality);
+    - if Cholesky runs to completion on a Hermitian H of order m (numpy
+      reads one triangle), R* R = H + dH with |dH| <= gamma_{m+1} |R*| |R|
+      (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5).
+      Since || |R*| |R| ||_2 <= ||R||_F^2 = tr(R* R), ||dH||_2 is at most
+      2 (m + 1) eps tr(H), and R* R is positive definite, so
+      lambda_min(H) > -2 (m + 1) eps t; forming H costs 2 eps t more.
+    So success gives lambda_min(M) > (rank_tol + delta) t - (2N + 2m + 8) eps t
+    (for rank_tol < 1; at larger values the factorization cannot succeed),
+    and each of the m largest computed eigenvalues exceeds
+    rank_tol t + (1 + rank_tol)(N + 3) eps t, above the cut rank_tol
+    lambda_max: 12 N eps of delta covers the sum of these terms, and the
+    rest is room for a larger eigh backward error.  On the
+    Gram route the q - p exactly zero eigenvalues come out at most
+    (N + 3) eps t, at or under the cut once rank_tol >= m delta, as
+    lambda_max >= t / m.  The m largest computed eigenvalues sum to within
+    m (N + 3) eps t of t, and t to within (N + 2) eps t of the computed
+    trace: together under slack.
+    """
+    a = np.asarray(a, dtype=complex)
+    p, q = a.shape[-2:]
+    m = min(p, q)
+    delta = 32 * (p + q) * np.finfo(float).eps
+    gram_route = q > p
+    if gram_route and rank_tol < m * delta:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a @ a.conj().swapaxes(-1, -2) if gram_route \
+            else a.conj().swapaxes(-1, -2) @ a
+        if not np.isfinite(product).all():
+            return None
+    trace = np.trace(product, axis1=-2, axis2=-1).real
+    if not np.all((trace >= _TRACE_MIN) & (trace <= _TRACE_MAX)):
+        return None
+    try:
+        np.linalg.cholesky(product - ((rank_tol + delta) * trace)[..., None, None] * np.eye(m))
+    except np.linalg.LinAlgError:
+        return None
+    return trace, m * delta * trace
 
 
 def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,10 @@
 """Orbit classification from one eigendecomposition of the frame operator,
 over blocks of vectors, against the two-eigendecomposition route (frame
-operator for the bounds, Gram matrix for the Riesz flag) it replaced."""
+operator for the bounds, Gram matrix for the Riesz flag) it replaced; and
+the flags-only route of sweeps (a rank certificate, eigh where it stands
+aside) against classify_block."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,11 +33,16 @@ from framedual import (
     trivial_multiplier,
     verify_duality,
 )
+import framedual.duality as duality_module
+import framedual.frames as frames_module
+import framedual.linalg as linalg_module
+import framedual.reps as reps_module
 from framedual.duality import adversarial_vectors
-from framedual.frames import FLAG_TOL
+from framedual.frames import FLAG_TOL, OrbitFlags, _orbit_flags, analysis_op, parseval_normalize
 from framedual.linalg import (
     RANK_TOL,
     dft_matrix,
+    full_rank_certificate,
     hermitian_eig,
     random_complex_vector,
     substream,
@@ -202,3 +211,129 @@ def test_sweep_blocks_match_per_vector_verdicts(pair, flag_tol):
         assert ce.vector.tobytes() == verdict.vector.tobytes()
     if flag_tol > FLAG_TOL:
         assert report.n_inconsistent > 0
+
+
+# --- the flags-only route of sweeps ------------------------------------------
+
+CUT_RATIOS = (0.5, 1.0, 2.0, 4.0)       # lambda_min / lambda_max in units of rank_tol
+WINDOW_STEPS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)   # frame bound - 1 in units of flag_tol
+
+
+def decision_point_vectors(rep, seed: int) -> np.ndarray:
+    """Vectors whose orbits sit at the two cuts the certificate must respect.
+
+    x0 is a Parseval-normalized draw, so its frame operator S0 is the
+    projection onto its orbit span.  Q, a spectral projection of
+    S0 (K + K*) S0 for a commutant element K, commutes with pi and lies
+    under S0; so x0 - (1 - s) Q x0 has nonzero frame spectrum {1, s^2}, and
+    s^2 is put at CUT_RATIOS times rank_tol.  The scaled copies of x0 have
+    frame bounds 1 + c flag_tol for c in WINDOW_STEPS.
+    """
+    x0 = parseval_normalize(rep, random_complex_vector(substream(seed, 7), rep.dim))
+    s0 = frame_operator(rep, x0)
+    basis = rep.commutant().basis
+    k = np.tensordot(random_complex_vector(substream(seed, 98), len(basis)), basis, axes=(0, 0))
+    w, v = np.linalg.eigh(s0 @ (k + k.conj().T) @ s0)
+    top = v[:, w > 1e-8 * np.abs(w).max()]
+    q_x0 = top @ (top.conj().T @ x0)
+    at_cut = [x0 - (1.0 - np.sqrt(r * RANK_TOL)) * q_x0 for r in CUT_RATIOS]
+    at_window = [np.sqrt(1.0 + c * FLAG_TOL) * x0 for c in WINDOW_STEPS]
+    return np.stack(at_cut + at_window)
+
+
+def assert_flags_match_classify_block(rep, xs):
+    """_orbit_flags against classify_block on the whole block and on every
+    row as a block of one, so that the certificate meets each row alone."""
+    for block in [xs] + [x[None] for x in xs]:
+        flags, reference = _orbit_flags(rep, block), classify_block(rep, block)
+        for f in fields(OrbitFlags):
+            np.testing.assert_array_equal(getattr(flags, f.name),
+                                          getattr(reference, f.name), err_msg=f.name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(random_reps, st.sampled_from(FIXED_REPS)), st.integers(0, 2**32 - 1))
+def test_orbit_flags_match_classify_block(rep, seed):
+    xs = np.concatenate([probe_vectors(rep, seed), decision_point_vectors(rep, seed)])
+    assert_flags_match_classify_block(rep, xs)
+    # random draws are decided by the certificate, not handed to eigh
+    draws = xs[:4]
+    assert full_rank_certificate(np.stack([analysis_op(rep, x) for x in draws])) is not None
+
+
+@pytest.mark.parametrize("ratio", CUT_RATIOS)
+def test_orbit_flags_at_the_rank_cut_of_z8(ratio):
+    # lambda(Z8) with x = DFT^-1 (1, ..., 1, delta): the frame operator's
+    # eigenvalues are 8 |x_hat|^2, so lambda_min / lambda_max = delta^2
+    lam, rho = FIXED_REPS[0], FIXED_REPS[1]
+    x_hat = np.ones(8, dtype=complex)
+    x_hat[-1] = np.sqrt(ratio * RANK_TOL)
+    x = dft_matrix(8).conj().T @ x_hat
+    for rep in (lam, rho):
+        assert_flags_match_classify_block(rep, x[None])
+    if ratio != 1.0:  # at the cut itself roundoff decides
+        assert classify(lam, x).orbit_span_dim == (8 if ratio > 1.0 else 7)
+
+
+def counting_eigh(monkeypatch):
+    """Replace hermitian_eig wherever framedual holds it; the returned list
+    collects the shape of every call."""
+    calls = []
+    original = frames_module.hermitian_eig
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    for module in (frames_module, linalg_module, reps_module):
+        monkeypatch.setattr(module, "hermitian_eig", counted)
+    return calls
+
+
+def test_sweep_runs_eigh_only_on_the_adversarial_block_and_the_searches(monkeypatch):
+    lam, rho = FIXED_REPS[0], FIXED_REPS[1]
+    calls = counting_eigh(monkeypatch)
+    empty = duality_sweep(lam, rho, n_vectors=0, seed=4)
+    without_draws = list(calls)
+    calls.clear()
+    report = duality_sweep(lam, rho, n_vectors=640, seed=4)
+    assert (report.n_consistent, report.n_inconsistent) == (empty.n_consistent + 640, 0)
+    assert calls == without_draws
+
+
+def test_counterexample_rows_of_a_certified_block_are_classify_rows(monkeypatch):
+    # force two counterexamples in each full block of draws; the block itself
+    # is decided by the certificate, so only the two rows meet classify_block
+    lam, rho = FIXED_REPS[0], FIXED_REPS[1]
+    clause_results = duality_module._clause_results
+    forced = [5, 40]
+
+    def with_forced_failures(pc, sc, clauses):
+        results = clause_results(pc, sc, clauses)
+        if len(results["frame_sequence"]) == duality_module.SWEEP_BLOCK:
+            results["frame_sequence"] = results["frame_sequence"].copy()
+            results["frame_sequence"][forced] = False
+        return results
+
+    blocks_classified = []
+    classify_orbits = frames_module._classify_orbits
+
+    def recorded(rep, orbits, *args):
+        blocks_classified.append(len(orbits))
+        return classify_orbits(rep, orbits, *args)
+
+    monkeypatch.setattr(duality_module, "_clause_results", with_forced_failures)
+    monkeypatch.setattr(frames_module, "_classify_orbits", recorded)
+    report = duality_sweep(lam, rho, n_vectors=100, seed=6)
+    assert [ce.source for ce in report.counterexamples] == ["random[5]", "random[40]"]
+    # the pi and sigma rows of the two counterexamples
+    assert blocks_classified.count(len(forced)) == 2
+    assert duality_module.SWEEP_BLOCK not in blocks_classified
+    draws = np.stack([random_complex_vector(substream(6, i), 8) for i in range(64)])
+    for ce, k in zip(report.counterexamples, forced):
+        assert ce.vector.tobytes() == draws[k].tobytes()
+        for rep, cls in ((lam, ce.verdict.pi_classification),
+                         (rho, ce.verdict.sigma_classification)):
+            # == compares both bounds bit for bit
+            assert cls == classify(rep, draws[k])
+            assert cls == classify_block(rep, draws).row(k)

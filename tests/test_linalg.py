@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from framedual import InvalidParameterError, Subspace, hermitian_eig, psd_power, rank_and_range
 from framedual.linalg import (
+    RANK_TOL,
     dft_matrix,
+    full_rank_certificate,
     nonzero_mask,
     random_complex_block,
     random_complex_vector,
@@ -168,6 +170,58 @@ def test_one_zero_cut_on_the_energy_scale():
                                   [True, True, False])
     assert rank_and_range(np.diag(np.sqrt(energies)), 1e-9)[0] == 2
     assert not nonzero_mask(np.zeros(3)).any() and not nonzero_mask(np.zeros(0)).any()
+
+
+def matrix_with_energies(rng, p, q, energies):
+    """A random p x q matrix whose A* A has the given nonzero eigenvalues."""
+    m = len(energies)
+    u, v = random_unitary(rng, p)[:, :m], random_unitary(rng, q)[:, :m]
+    return (u * np.sqrt(energies)) @ v.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([0.5, 0.9, 1.1, 4.0]),
+       st.integers(0, 2**32 - 1))
+def test_certificate_decides_like_the_cut(p, q, ratio, seed):
+    # lambda_min = ratio * rank_tol * (sum of the others): below the cut the
+    # certificate must stand aside, at 4x it must hold, and whenever it holds
+    # eigh agrees on the span and the trace
+    rng = substream(seed, 0)
+    m = min(p, q)
+    others = 1.0 + rng.random(m - 1)
+    energies = np.append(others, ratio * RANK_TOL * max(others.sum(), 1.0))
+    a = matrix_with_energies(rng, p, q, energies)
+    certificate = full_rank_certificate(a[None])
+    if ratio < 1.0:
+        assert certificate is None or m == 1
+    if ratio == 4.0 or m == 1:
+        assert certificate is not None
+    if certificate is not None:
+        w, _ = hermitian_eig(a.conj().T @ a)
+        assert np.count_nonzero(nonzero_mask(w)) == m
+        (trace,), (slack,) = certificate
+        assert abs(w[-m:].sum() - trace) <= slack
+
+
+def test_certificate_stands_aside():
+    rng = substream(5, 0)
+    a = matrix_with_energies(rng, 4, 4, [1.0, 2.0, 3.0, 4.0])
+    assert full_rank_certificate(a[None]) is not None
+    assert full_rank_certificate(a[None], rank_tol=0.5) is None
+    singular = matrix_with_energies(rng, 4, 4, [1.0, 2.0, 3.0])
+    assert full_rank_certificate(np.stack([a, singular])) is None
+    assert full_rank_certificate(np.stack([a, np.zeros((4, 4))])) is None
+    # underflowing, overflowing and non-finite entries
+    assert full_rank_certificate(1e-160 * a[None]) is None
+    assert full_rank_certificate(1e160 * a[None]) is None
+    bad = a.copy()
+    bad[0, 0] = np.inf
+    assert full_rank_certificate(bad[None]) is None
+    # the Gram route leaves eigh's zero eigenvalues to a cut above its noise
+    wide = matrix_with_energies(rng, 2, 6, [1.0, 2.0])
+    assert full_rank_certificate(wide[None]) is not None
+    assert full_rank_certificate(wide[None], rank_tol=1e-20) is None
+    assert full_rank_certificate(a[None], rank_tol=1e-20) is not None
 
 
 def test_subspace_perp_and_neither():
