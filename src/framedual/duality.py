@@ -286,7 +286,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     always uses substream (seed, i).  The flags of each block of
     SWEEP_BLOCK vectors come from frames._orbit_flags under both
     representations, so a block that the rank certificate decides needs no
-    eigendecomposition.  An inconsistent vector's counterexample carries its
+    eigendecomposition; the arrays it works in are kept for the blocks of
+    this call only.  An inconsistent vector's counterexample carries its
     rows of classify_block run on the inconsistent vectors of its block
     alone: the flags are the same, and the bounds those of classify.
     """
@@ -318,13 +319,14 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     n_skipped = n_consistent = n_inconsistent = 0
     gram_defect = 0.0
     counterexamples: list[SweepCounterexample] = []
+    scratch: dict = {}
     for sources, block in blocks():
-        nonzero = np.linalg.norm(block, axis=1) != 0.0
+        nonzero = (block != 0).any(axis=1)
         n_skipped += int(np.count_nonzero(~nonzero))
         block = block[nonzero]
         sources = [source for source, keep in zip(sources, nonzero) if keep]
-        pc = _orbit_flags(pi, block, rank_tol, flag_tol)
-        sc = _orbit_flags(sigma, block, rank_tol, flag_tol)
+        pc = _orbit_flags(pi, block, rank_tol, flag_tol, scratch)
+        sc = _orbit_flags(sigma, block, rank_tol, flag_tol, scratch)
         results = _clause_results(pc, sc, clauses)
         consistent = np.all(list(results.values()), axis=0)
         n_consistent += int(np.count_nonzero(consistent))

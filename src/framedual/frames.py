@@ -25,7 +25,11 @@ a block of one.  Callers that read flags only (sweeps, the
 frame-representation check, the Riesz search) go through _orbit_flags: a
 Cholesky certificate (linalg.full_rank_certificate) decides a block whose
 orbits all span min(dim, |G|) dimensions and none of which can be
-Parseval, and any other block is classified as by classify_block.
+Parseval, from orbits gathered as phase * x[perm] when the representation
+is stored in monomial form, and any other block is classified as by
+classify_block.  Classification is scale-free: a row whose entries all lie
+below _SMALL is scaled up by a power of two before its orbit is formed, and
+its bounds back down by the square, both exact.
 
 Two predicates are computed along two independent routes each: once through
 ranges of analysis operators and once through commutant orbits.  The two
@@ -68,6 +72,13 @@ from .reps import ProjectiveRep
 FLAG_TOL = 1e-8    # gate for Parseval / orthonormal flags
 ROUTE_TOL = 1e-7   # principal-angle gate shared by both routes of the dual checks
 
+# Classification scales a row whose entries all lie below this up by a power
+# of two.  Every other nonzero row has a frame operator with trace at least
+# 2^-400 and largest entry at least 2^-400 / dim: far from underflow, and
+# above 2^-485, below which LAPACK's eigh rescales by a factor that is not a
+# power of two, so such a row's bounds scale exactly with it.
+_SMALL = 2.0 ** -200
+
 
 @dataclass(frozen=True)
 class FrameClassification:
@@ -90,19 +101,25 @@ class FrameClassification:
     flag_tolerance: float
 
 
+def _vectors(xs, d: int) -> np.ndarray:
+    """xs as a complex vector (d,) or block (k, d), rejected for a wrong
+    length or a non-finite entry."""
+    x = np.asarray(xs, dtype=complex)
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise InvalidParameterError(
+            f"vector of shape {x.shape} does not match representation dim {d}")
+    if not np.isfinite(x).all():
+        raise InvalidParameterError("vector entries must be finite")
+    return x
+
+
 def _orbits(ops: np.ndarray, xs) -> np.ndarray:
     """The (m, d, d) stack ops (an image, or a commutant or algebra basis)
     applied to one vector, shape (m, d), or to each row of a (k, d) block,
     shape (k, m, d), bit for bit as ops @ x.  A wrong length or a non-finite
     entry is rejected before any arithmetic; an overflowing orbit fails the
     finiteness check of its frame operator or of rank_and_range."""
-    x = np.asarray(xs, dtype=complex)
-    d = ops.shape[-1]
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise InvalidParameterError(
-            f"vector of shape {x.shape} does not match representation dim {d}")
-    if not np.isfinite(x).all():
-        raise InvalidParameterError("vector entries must be finite")
+    x = _vectors(xs, ops.shape[-1])
     block = x if x.ndim == 2 else x[None]
     with np.errstate(over="ignore", invalid="ignore"):
         orbits = (ops[None] @ block[:, None, :, None])[..., 0]
@@ -166,29 +183,52 @@ def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     dimension |G|.  The orthonormal flag is the entrywise Gram test at
     flag_tol, run only on Riesz rows (an orthonormal orbit is Riesz).
     """
+    block, shift = _scaled_block(rep, xs)
+    return _classify_orbits(rep, _orbits(rep.matrices, block), rank_tol, flag_tol, shift)
+
+
+def _scaled_block(rep: ProjectiveRep, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, dim) block xs, checked, and the power of two each row is
+    scaled by: a row whose entries all lie below _SMALL in modulus is
+    scaled so that the largest lies in [1/2, 1), exactly; other rows, and
+    zero rows, are kept as they are (shift 0)."""
     if np.ndim(xs) != 2:
         raise InvalidParameterError(f"vector block of shape {np.shape(xs)} is not (k, dim)")
-    return _classify_orbits(rep, _orbits(rep.matrices, xs), rank_tol, flag_tol)
+    block = _vectors(xs, rep.dim)
+    largest = np.abs(block).max(axis=1, initial=0.0)
+    small = (largest > 0.0) & (largest < _SMALL)
+    if not small.any():
+        return block, np.zeros(len(block), dtype=int)
+    shift = np.where(small, -np.frexp(largest)[1], 0)
+    scaled = np.empty_like(block)
+    scaled.real = np.ldexp(block.real, shift[:, None])
+    scaled.imag = np.ldexp(block.imag, shift[:, None])
+    return scaled, shift
 
 
 def _classify_orbits(rep: ProjectiveRep, orbits: np.ndarray, rank_tol: float,
-                     flag_tol: float) -> BlockClassification:
-    """classify_block on the (k, |G|, dim) orbits of its block."""
+                     flag_tol: float, shift: np.ndarray) -> BlockClassification:
+    """classify_block on the (k, |G|, dim) orbits of its block, formed from
+    rows scaled by 2^shift; the bounds, and the Gram matrices of the
+    orthonormal test, are scaled back by 4^-shift."""
     n, d = rep.group.order, rep.dim
     w, _ = hermitian_eig(_frame_operators(orbits))
     span_dim = np.count_nonzero(nonzero_mask(w, rank_tol), axis=1)
     spans = span_dim > 0
     rows = np.arange(orbits.shape[0])
-    lower = np.where(spans, w[rows, np.minimum(d - span_dim, d - 1)], 0.0)
-    upper = np.where(spans, w[:, -1], 0.0)
+    back = -2 * shift
+    lower = np.ldexp(np.where(spans, w[rows, np.minimum(d - span_dim, d - 1)], 0.0), back)
+    upper = np.ldexp(np.where(spans, w[:, -1], 0.0), back)
 
-    is_frame_sequence = np.linalg.norm(orbits[:, rep.group.identity], axis=1) > 0.0
+    is_frame_sequence = (orbits[:, rep.group.identity] != 0).any(axis=1)
     is_parseval = is_frame_sequence & spans & \
         (np.abs(lower - 1.0) <= flag_tol) & (np.abs(upper - 1.0) <= flag_tol)
     is_riesz = span_dim == n
     is_orthonormal = np.zeros_like(is_riesz)
     riesz = orbits[is_riesz]
     gram = riesz.conj() @ riesz.swapaxes(1, 2)
+    if shift.any():
+        gram *= np.ldexp(1.0, back[is_riesz])[:, None, None]
     is_orthonormal[is_riesz] = np.abs(gram - np.eye(n)).max(axis=(1, 2)) < flag_tol
 
     return BlockClassification(
@@ -225,36 +265,73 @@ class OrbitFlags:
 
 
 def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
-                 flag_tol: float = FLAG_TOL) -> OrbitFlags:
+                 flag_tol: float = FLAG_TOL, scratch: dict | None = None) -> OrbitFlags:
     """classify_block's flags for the rows of xs (shape (k, dim)), decided
     without an eigendecomposition where a certificate can.
 
-    When linalg.full_rank_certificate holds for the orbits (conjugate
-    analysis operators: their product is the conjugate of S), every orbit
-    spans m = min(dim, |G|) dimensions on classify_block's cut, which fixes
-    the completeness and Riesz flags.  If moreover each trace lies farther
-    than m flag_tol + slack from m, no row is Parseval (its m nonzero
-    eigenvalues would lie within flag_tol of 1) and none is orthonormal (its
-    Gram diagonal would, and Riesz means m = |G|).  Any other block, and one
-    whose orbit overflows, is classified as classify_block does, from the
-    same orbits.
+    The certificate runs on the orbits of the block: for a representation
+    stored in monomial form, gathered as phase * x[perm] without building
+    rep.matrices, else the dense orbits classify_block forms.  When
+    linalg.full_rank_certificate holds for them (conjugate analysis
+    operators: their product is the conjugate of S; the gathered orbits lie
+    within its orbit gap of the dense ones), every orbit spans
+    m = min(dim, |G|) dimensions on classify_block's cut, which fixes the
+    completeness and Riesz flags.  If moreover no row was scaled and each
+    trace lies farther than m flag_tol + slack from m, no row is Parseval
+    (its m nonzero eigenvalues would lie within flag_tol of 1) and none is
+    orthonormal (its Gram diagonal would, and Riesz means m = |G|).  Any
+    other block, and one whose orbit overflows, is classified as
+    classify_block does, from the dense orbits, so every flag is either
+    proved or classify_block's, bit for bit.
+
+    scratch, a dict the caller keeps for one sweep, lends the gathered
+    orbits and the certificate's product arrays that later blocks reuse:
+    fresh arrays of that size cost page faults on every block.
     """
-    orbits = _orbits(rep.matrices, xs)
+    block, shift = _scaled_block(rep, xs)
     n, d = rep.group.order, rep.dim
     m = min(n, d)
-    certificate = full_rank_certificate(orbits, rank_tol)
+    if rep.perm is None:
+        orbits = _orbits(rep.matrices, block)
+    else:
+        orbits = _gathered_orbits(rep, block, _scratch(scratch, "orbits", (len(block), n, d)))
+    certificate = full_rank_certificate(orbits, rank_tol,
+                                        out=_scratch(scratch, "product", (len(block), m, m)))
     if certificate is not None:
         trace, slack = certificate
-        if np.all(np.abs(trace - m) > m * flag_tol + slack):
-            is_frame_sequence = np.linalg.norm(orbits[:, rep.group.identity], axis=1) > 0.0
+        if np.all((shift == 0) & (np.abs(trace - m) > m * flag_tol + slack)):
+            is_frame_sequence = (orbits[:, rep.group.identity] != 0).any(axis=1)
             never = np.zeros_like(is_frame_sequence)
             return OrbitFlags(is_complete_frame=is_frame_sequence & (m == d),
                               is_frame_sequence=is_frame_sequence,
                               is_parseval=never,
                               is_riesz_sequence=np.full_like(never, m == n),
                               is_orthonormal=never)
-    block = _classify_orbits(rep, orbits, rank_tol, flag_tol)
-    return OrbitFlags(**{f.name: getattr(block, f.name) for f in fields(OrbitFlags)})
+    if rep.perm is not None:  # classify_block's own orbits, not the gathered ones
+        orbits = _orbits(rep.matrices, block)
+    classified = _classify_orbits(rep, orbits, rank_tol, flag_tol, shift)
+    return OrbitFlags(**{f.name: getattr(classified, f.name) for f in fields(OrbitFlags)})
+
+
+def _gathered_orbits(rep: ProjectiveRep, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The orbits of the rows of block under a rep stored in monomial form,
+    phase[g, i] * x[perm[g, i]], written into out (shape (k, |G|, dim))."""
+    np.take(block, rep.perm, axis=1, out=out, mode="clip")  # mode "raise" would buffer
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.multiply(out, rep.phase, out=out)
+
+
+def _scratch(scratch: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """A complex array of the given shape: the leading rows of the one that
+    scratch keeps under name and the trailing shape, grown as needed; a
+    fresh array when scratch is None."""
+    if scratch is None:
+        return np.empty(shape, dtype=complex)
+    key = (name, *shape[1:])
+    kept = scratch.get(key)
+    if kept is None or len(kept) < shape[0]:
+        kept = scratch[key] = np.empty(shape, dtype=complex)
+    return kept[:shape[0]]
 
 
 def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -58,50 +58,75 @@ def nonzero_mask(values, rank_tol: float = RANK_TOL, *, singular: bool = False,
     return v > (np.sqrt(rank_tol) if singular else rank_tol) * scale
 
 
-def full_rank_certificate(a, rank_tol: float = RANK_TOL):
+def full_rank_certificate(a, rank_tol: float = RANK_TOL, out=None):
     """Certify, without eigenvalues, where nonzero_mask would cut the
-    spectrum hermitian_eig computes for the product A* A of every matrix A
-    in the stack a (shape (k, p, q)), or for its conjugate A^T conj(A),
-    which has the same spectrum and the same rounding bounds.
+    spectrum hermitian_eig computes for the product B* B of every matrix B
+    in a stack b, or for its conjugate B^T conj(B), which has the same
+    spectrum and the same rounding bounds.  The certificate is computed
+    from the stack a (shape (k, p, q)); b is a itself, or any stack within
+    the orbit gap of a: |b - a| <= (q + 3) eps |c| entrywise, for exact
+    matrices c that both approximate.
 
     Let m = min(p, q), N = p + q, eps the machine epsilon and
     delta = 32 N eps.  M is A* A (q x q) when q <= p, else A A* (p x p, the
     Gram route); either way its spectrum is the nonzero spectrum of A* A,
-    and t = tr M = ||A||_F^2.  One batched Cholesky factorization runs on
-    M - (rank_tol + delta) tr(M) I.  If it succeeds for every matrix, the
-    eigenvalues hermitian_eig(A* A) returns above nonzero_mask's cut are
-    exactly the m largest, and those sum to within ``slack`` of the computed
-    trace.  Then the result is ``(trace, slack)``, arrays of shape (k,) with
-    slack = m delta trace.  Otherwise it is None: the factorization failed,
-    a product is not finite, a trace lies outside [tiny / eps, max / 4],
-    or, on the Gram route, rank_tol < m delta.
+    and t = tr M = ||A||_F^2.  M is formed in out (shape (k, m, m), complex)
+    when given, and one batched Cholesky factorization runs on M -
+    (rank_tol + delta) tr(M) I, its diagonal shifted in place.  If it
+    succeeds for every matrix, the eigenvalues hermitian_eig(B* B) returns
+    above nonzero_mask's cut are exactly the m largest, and those sum to
+    within ``slack`` of the computed trace.  Then the result is
+    ``(trace, slack)``, arrays of shape (k,) with slack = m delta trace.
+    Otherwise it is None: the factorization failed, a trace lies outside
+    [tiny / eps, max / 4], or, on the Gram route, rank_tol < m delta.
+
+    No finiteness pass is needed.  Each diagonal entry of the computed M is
+    a sum of computed |a_ij|^2, terms that are never negative, so a trace in
+    range bounds every one of them, and every partial sum, by max / 4; an
+    entry inf or nan in a makes its diagonal entry, and so the trace, inf or
+    nan.  Off the diagonal every term |a_ki| |a_kj| is at most
+    (|a_ki|^2 + |a_kj|^2) / 2, so every partial sum stays below (1 + N eps)
+    t: all of M is finite, and so is the shifted matrix.
 
     Why delta suffices.  Rounding errors are bounded relative to t (the
     trace range keeps underflow below eps t and every product finite):
     - a computed product with inner dimension at most N is off by at most
       (N + 2) eps |A*| |A| entrywise, so by (N + 2) eps t in 2-norm, as
       || |A*| |A| ||_F <= ||A||_F^2; so is the computed trace;
-    - hermitian_eig's eigenvalues are those of its symmetrized computed
-      product up to a backward error of q eps ||A* A||_2 (LAPACK's "modest
-      function of the order" taken as the order), so each lies within
-      (N + 3) eps t of the exact one (Weyl's inequality);
     - if Cholesky runs to completion on a Hermitian H of order m (numpy
       reads one triangle), R* R = H + dH with |dH| <= gamma_{m+1} |R*| |R|
       (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5).
       Since || |R*| |R| ||_2 <= ||R||_F^2 = tr(R* R), ||dH||_2 is at most
       2 (m + 1) eps tr(H), and R* R is positive definite, so
-      lambda_min(H) > -2 (m + 1) eps t; forming H costs 2 eps t more.
-    So success gives lambda_min(M) > (rank_tol + delta) t - (2N + 2m + 8) eps t
-    (for rank_tol < 1; at larger values the factorization cannot succeed),
-    and each of the m largest computed eigenvalues exceeds
-    rank_tol t + (1 + rank_tol)(N + 3) eps t, above the cut rank_tol
-    lambda_max: 12 N eps of delta covers the sum of these terms, and the
-    rest is room for a larger eigh backward error.  On the
+      lambda_min(H) > -2 (m + 1) eps t; forming H costs 2 eps t more;
+    - the orbit gap: with E = b - a, ||E||_F <= (q + 3) eps ||c||_F, so
+      B* B - A* A = E* A + B* E is at most 2 (q + 3) eps t in 2-norm, and
+      so is the difference of the traces (up to a factor 1 + O(N eps));
+    - hermitian_eig's eigenvalues are those of its symmetrized computed
+      product up to a backward error of q eps ||B* B||_2 (LAPACK's "modest
+      function of the order" taken as the order), so each lies within
+      (N + 3) eps t of the exact one (Weyl's inequality).
+    So success gives lambda_min(B* B) > (rank_tol + delta) t
+    - (2N + 2m + 2q + 14) eps t (for rank_tol < 1; at larger values the
+    factorization cannot succeed), so each of the m largest computed
+    eigenvalues exceeds (rank_tol + delta) t - (3N + 2m + 2q + 17) eps t,
+    while the cut rank_tol lambda_max lies at most
+    rank_tol (1 + (N + 2q + 9) eps) t, as lambda_max <= tr(B* B).  With
+    m <= N / 2 and q < N, delta needs under 20 N eps to clear the cut
+    (N >= 2); the rest is room for a larger eigh backward error.  On the
     Gram route the q - p exactly zero eigenvalues come out at most
     (N + 3) eps t, at or under the cut once rank_tol >= m delta, as
-    lambda_max >= t / m.  The m largest computed eigenvalues sum to within
-    m (N + 3) eps t of t, and t to within (N + 2) eps t of the computed
-    trace: together under slack.
+    lambda_max >= t / m.  The m largest
+    computed eigenvalues sum to within m (N + 3) eps t of tr(B* B), which
+    lies within 2 (q + 3) eps t of t, and t within (N + 2) eps t of the
+    computed trace: together under slack.
+
+    frames._orbit_flags passes the orbits of a monomial representation
+    gathered as phase * x[perm] and decides for the dense orbits pi(g) x.
+    A gathered entry is one complex product, within sqrt(5) eps / 2 of
+    exact; a dense one is a length-q inner product whose other terms are
+    exact zeros, within gamma_{q+2} (Higham, section 3.6) of exact: the gap
+    is under (q + 3) eps of the exact entry, as above.
     """
     a = np.asarray(a, dtype=complex)
     p, q = a.shape[-2:]
@@ -110,16 +135,17 @@ def full_rank_certificate(a, rank_tol: float = RANK_TOL):
     gram_route = q > p
     if gram_route and rank_tol < m * delta:
         return None
+    adjoint = a.conj().swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        product = a @ a.conj().swapaxes(-1, -2) if gram_route \
-            else a.conj().swapaxes(-1, -2) @ a
-        if not np.isfinite(product).all():
-            return None
-    trace = np.trace(product, axis1=-2, axis2=-1).real
+        product = np.matmul(a, adjoint, out=out) if gram_route \
+            else np.matmul(adjoint, a, out=out)
+    trace = np.einsum("...ii->...", product).real
     if not np.all((trace >= _TRACE_MIN) & (trace <= _TRACE_MAX)):
         return None
+    diagonal = np.arange(m)
+    product[..., diagonal, diagonal] -= ((rank_tol + delta) * trace)[..., None]
     try:
-        np.linalg.cholesky(product - ((rank_tol + delta) * trace)[..., None, None] * np.eye(m))
+        np.linalg.cholesky(product)
     except np.linalg.LinAlgError:
         return None
     return trace, m * delta * trace
@@ -290,26 +316,28 @@ def random_complex_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_complex_block(seed: int, indices, n: int) -> np.ndarray:
-    """Row k is ``random_complex_vector(substream(seed, indices[k]), n)``.
+    """Row k is ``random_complex_vector(substream(seed, indices[k]), n)``
+    for any iterable of integer indices.
 
     One Philox generator is re-keyed for every row instead of building a
-    fresh one per draw, which costs more than the draw itself.
+    fresh one per draw, which costs more than the draw itself.  The state it
+    is re-keyed from holds its key, counter and buffer as Python lists:
+    numpy's state setter converts those far faster than uint64 arrays.  Each
+    row draws its real parts and then its imaginary parts, as
+    random_complex_vector does, with one standard_normal call.
     """
-    indices = list(indices)
+    keys = [int(index) & _U64 for index in indices]
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     rng = np.random.Generator(bits)
-    state = bits.state
-    real = np.empty((len(indices), n))
-    imag = np.empty((len(indices), n))
-    for k, index in enumerate(indices):
-        state["state"]["key"] = np.array([seed & _U64, index & _U64], dtype=np.uint64)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
+    key = [int(seed) & _U64, 0]
+    state = {"bit_generator": "Philox", "state": {"key": key, "counter": [0, 0, 0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    draws = np.empty((len(keys), 2 * n))
+    for row, index in zip(draws, keys):
+        key[1] = index
         bits.state = state
-        rng.standard_normal(out=real[k])
-        rng.standard_normal(out=imag[k])
-    return (real + 1j * imag) / np.sqrt(2.0)
+        rng.standard_normal(out=row)
+    return (draws[:, :n] + 1j * draws[:, n:]) / np.sqrt(2.0)
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Orbit classification from one eigendecomposition of the frame operator,
 over blocks of vectors, against the two-eigendecomposition route (frame
-operator for the bounds, Gram matrix for the Riesz flag) it replaced; and
-the flags-only route of sweeps (a rank certificate, eigh where it stands
-aside) against classify_block."""
+operator for the bounds, Gram matrix for the Riesz flag) it replaced; the
+flags-only route of sweeps (a rank certificate on gathered or dense orbits,
+eigh where it stands aside) against classify_block; and classification
+under power-of-two scaling."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_reps
 from framedual import (
@@ -29,6 +30,7 @@ from framedual import (
     make_gabor_pair,
     make_regular_pair,
     make_regular_subpair,
+    monomial_rep,
     right_regular,
     trivial_multiplier,
     verify_duality,
@@ -38,7 +40,15 @@ import framedual.frames as frames_module
 import framedual.linalg as linalg_module
 import framedual.reps as reps_module
 from framedual.duality import adversarial_vectors
-from framedual.frames import FLAG_TOL, OrbitFlags, _orbit_flags, analysis_op, parseval_normalize
+from framedual.frames import (
+    FLAG_TOL,
+    OrbitFlags,
+    _gathered_orbits,
+    _orbit_flags,
+    _orbits,
+    analysis_op,
+    parseval_normalize,
+)
 from framedual.linalg import (
     RANK_TOL,
     dft_matrix,
@@ -47,6 +57,7 @@ from framedual.linalg import (
     random_complex_vector,
     substream,
 )
+from framedual.reps import ProjectiveRep
 
 
 def oracle_classify(rep, xi, rank_tol=RANK_TOL, flag_tol=FLAG_TOL) -> FrameClassification:
@@ -337,3 +348,135 @@ def test_counterexample_rows_of_a_certified_block_are_classify_rows(monkeypatch)
             # == compares both bounds bit for bit
             assert cls == classify(rep, draws[k])
             assert cls == classify_block(rep, draws).row(k)
+
+
+# --- the certificate on gathered monomial orbits ------------------------------
+
+def relabelled(rep, seed: int):
+    """rep conjugated by a random monomial unitary D P, built by monomial_rep:
+    the basis permuted by a random tau and multiplied by unit phases
+    exp(i theta) with theta uniform, so no phase is a root of unity.  Row i
+    of the new pi(g) holds phase[g, tau_i] u_i conj(u_j) in column
+    j = tau^-1(perm[g, tau_i])."""
+    rng = np.random.default_rng(seed)
+    tau = rng.permutation(rep.dim)
+    u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rep.dim))
+    perm = np.argsort(tau)[rep.perm[:, tau]]
+    phase = rep.phase[:, tau] * u * u[perm].conj()
+    return monomial_rep(rep.group, rep.multiplier, perm, phase, label=f"{rep.label}~{seed}")
+
+
+def unbuilt(rep):
+    """A new instance of a rep stored in monomial form: its dense stack is
+    built only on first read of .matrices."""
+    return ProjectiveRep._monomial(rep.group, rep.multiplier, rep.perm, rep.phase, rep.label)
+
+
+random_monomial_reps = st.builds(relabelled, random_reps, st.integers(0, 2**32 - 1))
+MONOMIAL_FIXED_REPS = [rep for rep in FIXED_REPS if rep.perm is not None]
+
+
+def assert_certified_flags_are_classify_flags(rep, xs) -> int:
+    """_orbit_flags on an unbuilt copy of rep, for the whole block and every
+    row alone: a block the certificate decides from gathered orbits leaves
+    the dense stack unbuilt, and has classify_block's flags on the dense
+    orbits; any other block builds it on its way to eigh.  Returns the
+    number of blocks the certificate decided."""
+    decided = 0
+    for block in [xs] + [x[None] for x in xs]:
+        copy = unbuilt(rep)
+        fallbacks = []
+        classify_orbits = frames_module._classify_orbits
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(frames_module, "_classify_orbits",
+                      lambda *args: fallbacks.append(1) or classify_orbits(*args))
+            flags = _orbit_flags(copy, block)
+        assert ("matrices" in vars(copy)) == bool(fallbacks)
+        decided += not fallbacks
+        reference = classify_block(rep, block)
+        for f in fields(OrbitFlags):
+            np.testing.assert_array_equal(getattr(flags, f.name),
+                                          getattr(reference, f.name), err_msg=f.name)
+    return decided
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(random_monomial_reps, st.sampled_from(MONOMIAL_FIXED_REPS)),
+       st.integers(0, 2**32 - 1))
+def test_certificate_on_gathered_orbits_decides_as_classify_block(rep, seed):
+    # blocks at the rank cut (lambda_min / lambda_max at 0.5 to 4 rank_tol)
+    # and at the Parseval window, beside draws and the adversarial set
+    xs = np.concatenate([probe_vectors(rep, seed), decision_point_vectors(rep, seed)])
+    # the draws alone are decided by the certificate
+    assert assert_certified_flags_are_classify_flags(rep, xs) >= 4
+    # the orbit gap the certificate allows for: (dim + 3) eps of each entry
+    gathered = _gathered_orbits(rep, xs, np.empty((len(xs), rep.group.order, rep.dim),
+                                                  dtype=complex))
+    dense = _orbits(rep.matrices, xs)
+    gap = (rep.dim + 3) * np.finfo(float).eps * np.abs(dense)
+    assert np.all(np.abs(gathered - dense) <= gap)
+
+
+# --- scale -------------------------------------------------------------------
+
+def times_power_of_two(x, k: int) -> np.ndarray:
+    """2^k x, part by part, so that no power of two is formed."""
+    return np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+
+
+def tight_at_a_power_of_four(cls) -> bool:
+    """Both bounds within 1e-6 of one power of four: then some 2^k x is
+    Parseval, or orthonormal, and those flags depend on the scale."""
+    j = round(np.log(cls.upper_bound) / np.log(4.0))
+    return cls.upper_bound <= cls.lower_bound * (1 + 1e-6) and \
+        abs(cls.upper_bound / 4.0 ** j - 1.0) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_reps, st.sampled_from(FIXED_REPS)), st.data())
+def test_classification_is_scale_free(rep, data):
+    # entries of at most 11 significant bits, so 2^k x is exact down to the
+    # last subnormal, k = -1074
+    parts = st.lists(st.integers(-1024, 1024), min_size=rep.dim, max_size=rep.dim)
+    x = np.array(data.draw(parts)) + 1j * np.array(data.draw(parts))
+    assume(np.any(x != 0))
+    reference = classify(rep, x)
+    assume(not tight_at_a_power_of_four(reference))
+    # up to entries of 2^200; past a largest frame-operator entry of 2^485
+    # eigh rescales by a factor that is not a power of two
+    top = int(np.frexp(np.abs(x).max())[1])
+    k = data.draw(st.integers(-1074, 200 - top), label="k")
+    y = times_power_of_two(x, k)
+    assert np.array_equal(times_power_of_two(y, -k), x)
+    got = classify(rep, y)
+    flags = _orbit_flags(rep, y[None])
+    for f in fields(OrbitFlags):
+        assert getattr(got, f.name) == getattr(reference, f.name), f.name
+        assert getattr(flags, f.name)[0] == getattr(reference, f.name), f.name
+    assert got.orbit_span_dim == reference.orbit_span_dim
+    # exactly 4^k times the bounds, rounded once where that underflows
+    assert got.lower_bound == np.ldexp(reference.lower_bound, 2 * k)
+    assert got.upper_bound == np.ldexp(reference.upper_bound, 2 * k)
+
+
+def test_tiny_vectors_keep_their_orbit():
+    lam = left_regular(cyclic_group(4), trivial_multiplier(cyclic_group(4)))
+    for tiny, bound in ((1e-160, 1e-160 ** 2), (1e-170, 0.0), (5e-324, 0.0)):
+        cls = classify(lam, [tiny, 0, 0, 0])
+        assert cls.orbit_span_dim == 4
+        assert cls.is_frame_sequence and cls.is_complete_frame and cls.is_riesz_sequence
+        assert not cls.is_parseval and not cls.is_orthonormal
+        assert cls.lower_bound == cls.upper_bound == bound
+        flags = _orbit_flags(lam, np.array([[tiny, 0, 0, 0]]))
+        assert flags.is_complete_frame[0] and flags.is_riesz_sequence[0]
+    # past flag_tol 1 a tiny orbit is Parseval and orthonormal: its own
+    # bounds decide, not those of its scaled copy, which the certificate
+    # would rule out of the window
+    z8 = FIXED_REPS[0]
+    phases = np.exp(1j * np.angle(random_complex_vector(substream(3, 0), 8)))
+    xs = np.ldexp(0.95, -600) * phases[None]
+    reference = classify_block(z8, xs, flag_tol=2.0)
+    assert reference.is_parseval[0] and reference.is_orthonormal[0]
+    flags = _orbit_flags(z8, xs, flag_tol=2.0)
+    for f in fields(OrbitFlags):
+        np.testing.assert_array_equal(getattr(flags, f.name), getattr(reference, f.name))

@@ -65,15 +65,28 @@ def test_eig_stack_checks_every_matrix():
         hermitian_eig(np.ones((2, 2, 3)))
 
 
+INDEX_FORMS = {
+    "range": lambda rows: rows,
+    "list": list,
+    "int64": lambda rows: np.array([i - 2**62 for i in rows], dtype=np.int64),
+    "uint64": lambda rows: np.array([i + 2**63 for i in rows], dtype=np.uint64),
+    "generator": lambda rows: (i for i in rows),
+    "descending": lambda rows: list(reversed(rows)),
+    "repeated": lambda rows: [i for i in rows for _ in range(2)][:len(rows)],
+}
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(-2**63, 2**64 - 1), start=st.integers(0, 2**40),
-       count=st.integers(0, 70), d=st.integers(1, 12))
-def test_block_draws_equal_substream_draws(seed, start, count, d):
-    rows = range(start, start + count)
-    block = random_complex_block(seed, rows, d)
+@given(seed=st.integers(-2**63, 2**64 - 1), start=st.integers(0, 2**62),
+       count=st.integers(0, 70), d=st.integers(1, 19), form=st.sampled_from(sorted(INDEX_FORMS)))
+def test_block_draws_equal_substream_draws(seed, start, count, d, form):
+    # any iterable of integers keys the rows, numpy integers included; an
+    # index is taken mod 2^64, as substream takes it
+    indices = list(INDEX_FORMS[form](range(start, start + count)))
+    block = random_complex_block(seed, INDEX_FORMS[form](range(start, start + count)), d)
     assert block.shape == (count, d)
-    for k, i in enumerate(rows):
-        assert block[k].tobytes() == random_complex_vector(substream(seed, i), d).tobytes()
+    for k, i in enumerate(indices):
+        assert block[k].tobytes() == random_complex_vector(substream(seed, int(i)), d).tobytes()
 
 
 def test_eig_extremes_are_rayleigh_extrema():
