@@ -13,7 +13,10 @@ Each decision is made once: _orbits is the only product of vectors with
 an operator stack, every rank (eigenvalues of S, singular values of an
 analysis matrix) is cut by linalg.nonzero_mask, so classification and the
 range routes agree on every orbit dimension, and classify's Parseval flag
-also certifies dilation.
+also certifies dilation.  Every orbit pi(g) x that a report reads is formed
+by _rep_orbits from the slabs of ProjectiveRep.slabs: a representation in
+monomial form scatters its dense stack about a MiB at a time and never
+holds it whole, and the orbits are those of the whole stack bit for bit.
 
 Classification reads its flags from one eigendecomposition of S.  S and the
 Gram matrix have the same nonzero spectrum, so the dimension of the orbit
@@ -114,8 +117,8 @@ def _vectors(xs, d: int) -> np.ndarray:
 
 
 def _orbits(ops: np.ndarray, xs) -> np.ndarray:
-    """The (m, d, d) stack ops (an image, or a commutant or algebra basis)
-    applied to one vector, shape (m, d), or to each row of a (k, d) block,
+    """The (m, d, d) stack ops (a slab of an image, or a commutant or algebra
+    basis) applied to one vector, shape (m, d), or to each row of a (k, d) block,
     shape (k, m, d), bit for bit as ops @ x.  A wrong length or a non-finite
     entry is rejected before any arithmetic; an overflowing orbit fails the
     finiteness check of its frame operator or of rank_and_range."""
@@ -126,10 +129,24 @@ def _orbits(ops: np.ndarray, xs) -> np.ndarray:
     return orbits if x.ndim == 2 else orbits[0]
 
 
+def _rep_orbits(rep: ProjectiveRep, xs) -> np.ndarray:
+    """The orbit pi(g) x of one vector, shape (|G|, dim), or of each row of a
+    (k, dim) block, shape (k, |G|, dim): bit for bit _orbits(rep.matrices,
+    xs), as each group element meets the same matrix-vector product on the
+    same bytes, but formed slab by slab from rep.slabs(), so that a rep in
+    monomial form never holds its dense stack."""
+    x = _vectors(xs, rep.dim)
+    block = x if x.ndim == 2 else x[None]
+    orbits = np.empty((len(block), rep.group.order, rep.dim), dtype=complex)
+    for start, slab in rep.slabs():
+        orbits[:, start:start + len(slab)] = _orbits(slab, block)
+    return orbits if x.ndim == 2 else orbits[0]
+
+
 def analysis_op(rep: ProjectiveRep, xi) -> np.ndarray:
     """Matrix of the analysis map y -> (<y, pi(g) xi>)_g, shape (|G|, dim);
     row g is conj(pi(g) xi)."""
-    return _orbits(rep.matrices, xi).conj()
+    return _rep_orbits(rep, xi).conj()
 
 
 def _frame_operators(orbits: np.ndarray) -> np.ndarray:
@@ -143,12 +160,12 @@ def _frame_operators(orbits: np.ndarray) -> np.ndarray:
 
 def frame_operator(rep: ProjectiveRep, xi) -> np.ndarray:
     """S = Theta* Theta = sum_g (pi(g) xi)(pi(g) xi)*; PSD, commutes with pi."""
-    return _frame_operators(_orbits(rep.matrices, xi))
+    return _frame_operators(_rep_orbits(rep, xi))
 
 
 def gram_matrix(rep: ProjectiveRep, xi) -> np.ndarray:
     """Gram[g, h] = <pi(h) xi, pi(g) xi>."""
-    orbit = _orbits(rep.matrices, xi)
+    orbit = _rep_orbits(rep, xi)
     return orbit.conj() @ orbit.T
 
 
@@ -184,7 +201,7 @@ def classify_block(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     flag_tol, run only on Riesz rows (an orthonormal orbit is Riesz).
     """
     block, shift = _scaled_block(rep, xs)
-    return _classify_orbits(rep, _orbits(rep.matrices, block), rank_tol, flag_tol, shift)
+    return _classify_orbits(rep, _rep_orbits(rep, block), rank_tol, flag_tol, shift)
 
 
 def _scaled_block(rep: ProjectiveRep, xs) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +287,8 @@ def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     without an eigendecomposition where a certificate can.
 
     The certificate runs on the orbits of the block: for a representation
-    stored in monomial form, gathered as phase * x[perm] without building
-    rep.matrices, else the dense orbits classify_block forms.  When
+    stored in monomial form, gathered as phase * x[perm], else the dense
+    orbits classify_block forms.  When
     linalg.full_rank_certificate holds for them (conjugate analysis
     operators: their product is the conjugate of S; the gathered orbits lie
     within its orbit gap of the dense ones), every orbit spans
@@ -292,7 +309,7 @@ def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     n, d = rep.group.order, rep.dim
     m = min(n, d)
     if rep.perm is None:
-        orbits = _orbits(rep.matrices, block)
+        orbits = _rep_orbits(rep, block)
     else:
         orbits = _gathered_orbits(rep, block, _scratch(scratch, "orbits", (len(block), n, d)))
     certificate = full_rank_certificate(orbits, rank_tol,
@@ -308,7 +325,7 @@ def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
                               is_riesz_sequence=np.full_like(never, m == n),
                               is_orthonormal=never)
     if rep.perm is not None:  # classify_block's own orbits, not the gathered ones
-        orbits = _orbits(rep.matrices, block)
+        orbits = _rep_orbits(rep, block)
     classified = _classify_orbits(rep, orbits, rank_tol, flag_tol, shift)
     return OrbitFlags(**{f.name: getattr(classified, f.name) for f in fields(OrbitFlags)})
 
@@ -337,10 +354,15 @@ def _scratch(scratch: dict | None, name: str, shape: tuple) -> np.ndarray:
 def parseval_normalize(rep: ProjectiveRep, xi, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Rescale xi to a Parseval frame vector for its own orbit span by
     applying the inverse square root of the frame operator (pseudo-inverse
-    on the support).  The orbit span is unchanged."""
+    on the support).  The orbit span is unchanged.
+
+    S^-1/2 x does not change when x is scaled, so a vector whose entries all
+    lie below _SMALL is first scaled up by a power of two, as classification
+    does, and nothing is scaled back: its frame operator would underflow."""
     x = np.asarray(xi, dtype=complex).reshape(-1)
     if not np.any(x):
         raise InvalidParameterError("cannot Parseval-normalize the zero vector")
+    x = _scaled_block(rep, _vectors(x, rep.dim)[None])[0][0]
     return psd_power(frame_operator(rep, x), -0.5, rank_tol) @ x
 
 
@@ -450,7 +472,7 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
         return result
 
     away_from = commutant_orbit(rep, base, rank_tol).complement().projector()
-    orbit_span = rank_and_range(_orbits(rep.matrices, base).T, rank_tol)[1]
+    orbit_span = rank_and_range(_rep_orbits(rep, base).T, rank_tol)[1]
     span_perp = orbit_span.complement().projector()
 
     last_reason = "no candidate passed certification"

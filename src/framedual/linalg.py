@@ -158,7 +158,9 @@ def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
     that ``a = v @ diag(w) @ v.conj().T``, matrix by matrix for a stack of
     shape ``(..., n, n)``.  A matrix whose Hermitian defect exceeds
     ``tol * ||a||`` is rejected; the defect that remains is folded away by
-    symmetrizing before one LAPACK call over the whole stack.
+    symmetrizing before one LAPACK call over the whole stack.  Finite
+    entries can still overflow float64 there: a matrix whose symmetrized
+    entries or whose eigenvalues overflow is rejected too.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -166,8 +168,10 @@ def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
     if m.size and not np.all(np.isfinite(m)):
         raise InvalidParameterError("matrix entries must be finite")
     adjoint = m.conj().swapaxes(-1, -2)
-    scale = np.linalg.norm(m, axis=(-2, -1))
-    defect = np.linalg.norm(m - adjoint, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is decided below
+        scale = np.linalg.norm(m, axis=(-2, -1))
+        defect = np.linalg.norm(m - adjoint, axis=(-2, -1))
+        symmetrized = (m + adjoint) / 2.0
     bad = defect > tol * np.maximum(scale, 1.0)
     if np.any(bad):
         first = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -176,7 +180,12 @@ def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
             f"matrix{where} is not Hermitian: defect "
             f"{defect[first]:.3e} exceeds {tol:.1e} * scale"
         )
-    w, v = np.linalg.eigh((m + adjoint) / 2.0)
+    if not np.all(np.isfinite(symmetrized)):
+        raise InvalidParameterError(
+            "matrix entries are too large: its Hermitian part overflows float64")
+    w, v = np.linalg.eigh(symmetrized)
+    if not np.all(np.isfinite(w)):
+        raise InvalidParameterError("matrix is too large: its eigenvalues overflow float64")
     return w, v
 
 

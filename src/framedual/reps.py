@@ -5,7 +5,8 @@ pi(g) pi(h) = mu(g, h) pi(gh), and its unitaries in one of two forms: a
 dense stack, one matrix per group element, or the monomial form of the
 built-in constructions (regular, monomial, Gabor and character reps), where
 row i of pi(g) holds the single entry phase[g, i] in column perm[g, i] and
-the dense stack is built on first read.
+the dense stack is built on first read.  Orbit routes read the stack through
+ProjectiveRep.slabs, which never holds a monomial rep's stack whole.
 
 Its three operator spaces come from the group structure.  The group average
 E(X) = |G|^-1 sum_g pi(g) X pi(g)* is the Hilbert-Schmidt-orthogonal
@@ -35,6 +36,10 @@ from .vonneumann import OperatorSubspace
 
 REP_TOL = 1e-10  # default residual gate for unitarity and twisted composition
 AVERAGE_TOL = 1e-8  # gate on the group average: self-adjoint, eigenvalues in {0, 1}
+# ProjectiveRep.slabs scatters a monomial rep's dense stack this many bytes at
+# a time (at least one element): small enough that the largest built-in reps
+# never hold their stack, large enough that small reps take one slab.
+SLAB_BYTES = 2 ** 20
 
 
 class ProjectiveRep:
@@ -46,7 +51,8 @@ class ProjectiveRep:
     (order, dim), row i of pi(g) holding phase[g, i] in column perm[g, i].
     Then .matrices is scattered from them on first read and cached.  Either
     way .matrices is a read-only C-contiguous complex128 stack; perm and
-    phase are None for a dense rep.  Instances are immutable.
+    phase are None for a dense rep.  Instances are immutable.  Code that
+    needs each pi(g) once, as the orbit routes do, reads .slabs() instead.
     """
 
     perm: np.ndarray | None = None
@@ -88,9 +94,33 @@ class ProjectiveRep:
         """The (order, dim, dim) stack pi(g); read-only."""
         n, d = self.perm.shape
         mats = np.zeros((n, d, d), dtype=complex)
-        mats[np.arange(n)[:, None], np.arange(d), self.perm] = self.phase
+        _scatter(self.perm, self.phase, mats)
         mats.setflags(write=False)
         return mats
+
+    def slabs(self):
+        """The stack pi(g) in consecutive read-only slabs, yielded as
+        (start, slab) with slab[j] equal to .matrices[start + j].
+
+        A dense rep yields its stored stack whole.  A rep in monomial form
+        scatters about SLAB_BYTES of the stack at a time into one buffer
+        and never builds .matrices: the next slab overwrites the last, so
+        use each slab before asking for the next.
+        """
+        if self.perm is None:
+            yield 0, self.matrices
+            return
+        n, d = self.perm.shape
+        size = min(n, max(1, SLAB_BYTES // (16 * d * d)))
+        buffer = np.zeros((size, d, d), dtype=complex)
+        for start in range(0, n, size):
+            perm, phase = self.perm[start:start + size], self.phase[start:start + size]
+            slab = buffer[:len(perm)]
+            _scatter(perm, phase, slab)
+            view = slab.view()
+            view.setflags(write=False)
+            yield start, view
+            _scatter(perm, 0.0, slab)  # zero again, for the next slab
 
     def group_average(self) -> np.ndarray:
         """The d^2 x d^2 matrix of E(X) = |G|^-1 sum_g pi(g) X pi(g)* acting
@@ -151,6 +181,13 @@ class ProjectiveRep:
     def __repr__(self):
         return (f"ProjectiveRep({self.label!r}, group={self.group.label!r}, "
                 f"dim={self.dim})")
+
+
+def _scatter(perm: np.ndarray, phase, out: np.ndarray) -> None:
+    """Write phase[g, i] to out[g, i, perm[g, i]] for every row g of perm,
+    leaving the other entries of out as they are."""
+    n, d = perm.shape
+    out[np.arange(n)[:, None], np.arange(d), perm] = phase
 
 
 @dataclass(frozen=True)

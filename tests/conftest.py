@@ -10,10 +10,12 @@ from framedual import (
     direct_product,
     heisenberg_multiplier,
     left_regular,
+    monomial_rep,
     right_regular,
     trivial_multiplier,
     validate_multiplier,
 )
+from framedual.reps import ProjectiveRep
 
 
 @pytest.fixture(scope="session")
@@ -136,3 +138,26 @@ cocycle_args = dict(
 random_cocycles = st.builds(random_cocycle, **cocycle_args)
 random_reps = st.builds(random_cocycle_rep, **cocycle_args,
                         side=st.sampled_from(["left", "right"]))
+
+
+def relabelled(rep, seed: int):
+    """rep conjugated by a random monomial unitary D P, built by monomial_rep:
+    the basis permuted by a random tau and multiplied by unit phases
+    exp(i theta) with theta uniform, so no phase is a root of unity.  Row i
+    of the new pi(g) holds phase[g, tau_i] u_i conj(u_j) in column
+    j = tau^-1(perm[g, tau_i])."""
+    rng = np.random.default_rng(seed)
+    tau = rng.permutation(rep.dim)
+    u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rep.dim))
+    perm = np.argsort(tau)[rep.perm[:, tau]]
+    phase = rep.phase[:, tau] * u * u[perm].conj()
+    return monomial_rep(rep.group, rep.multiplier, perm, phase, label=f"{rep.label}~{seed}")
+
+
+def unbuilt(rep):
+    """A new instance of a rep stored in monomial form: its dense stack is
+    built only on first read of .matrices."""
+    return ProjectiveRep._monomial(rep.group, rep.multiplier, rep.perm, rep.phase, rep.label)
+
+
+random_monomial_reps = st.builds(relabelled, random_reps, st.integers(0, 2**32 - 1))

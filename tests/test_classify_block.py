@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_reps
+from conftest import random_monomial_reps, random_reps, unbuilt
 from framedual import (
     FrameClassification,
     GaborLattice,
@@ -30,7 +30,6 @@ from framedual import (
     make_gabor_pair,
     make_regular_pair,
     make_regular_subpair,
-    monomial_rep,
     right_regular,
     trivial_multiplier,
     verify_duality,
@@ -46,6 +45,7 @@ from framedual.frames import (
     _gathered_orbits,
     _orbit_flags,
     _orbits,
+    _scaled_block,
     analysis_op,
     parseval_normalize,
 )
@@ -57,7 +57,6 @@ from framedual.linalg import (
     random_complex_vector,
     substream,
 )
-from framedual.reps import ProjectiveRep
 
 
 def oracle_classify(rep, xi, rank_tol=RANK_TOL, flag_tol=FLAG_TOL) -> FrameClassification:
@@ -352,36 +351,16 @@ def test_counterexample_rows_of_a_certified_block_are_classify_rows(monkeypatch)
 
 # --- the certificate on gathered monomial orbits ------------------------------
 
-def relabelled(rep, seed: int):
-    """rep conjugated by a random monomial unitary D P, built by monomial_rep:
-    the basis permuted by a random tau and multiplied by unit phases
-    exp(i theta) with theta uniform, so no phase is a root of unity.  Row i
-    of the new pi(g) holds phase[g, tau_i] u_i conj(u_j) in column
-    j = tau^-1(perm[g, tau_i])."""
-    rng = np.random.default_rng(seed)
-    tau = rng.permutation(rep.dim)
-    u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, rep.dim))
-    perm = np.argsort(tau)[rep.perm[:, tau]]
-    phase = rep.phase[:, tau] * u * u[perm].conj()
-    return monomial_rep(rep.group, rep.multiplier, perm, phase, label=f"{rep.label}~{seed}")
-
-
-def unbuilt(rep):
-    """A new instance of a rep stored in monomial form: its dense stack is
-    built only on first read of .matrices."""
-    return ProjectiveRep._monomial(rep.group, rep.multiplier, rep.perm, rep.phase, rep.label)
-
-
-random_monomial_reps = st.builds(relabelled, random_reps, st.integers(0, 2**32 - 1))
 MONOMIAL_FIXED_REPS = [rep for rep in FIXED_REPS if rep.perm is not None]
 
 
 def assert_certified_flags_are_classify_flags(rep, xs) -> int:
     """_orbit_flags on an unbuilt copy of rep, for the whole block and every
-    row alone: a block the certificate decides from gathered orbits leaves
-    the dense stack unbuilt, and has classify_block's flags on the dense
-    orbits; any other block builds it on its way to eigh.  Returns the
-    number of blocks the certificate decided."""
+    row alone: the dense stack stays unbuilt, a block the certificate
+    decides from gathered orbits has classify_block's flags on the dense
+    orbits, and any other block reaches eigh on orbits bit-equal to the
+    dense product, formed on another copy.  Returns the number of blocks
+    the certificate decided."""
     decided = 0
     for block in [xs] + [x[None] for x in xs]:
         copy = unbuilt(rep)
@@ -389,9 +368,13 @@ def assert_certified_flags_are_classify_flags(rep, xs) -> int:
         classify_orbits = frames_module._classify_orbits
         with pytest.MonkeyPatch.context() as m:
             m.setattr(frames_module, "_classify_orbits",
-                      lambda *args: fallbacks.append(1) or classify_orbits(*args))
+                      lambda r, orbits, *args: fallbacks.append(orbits.copy())
+                      or classify_orbits(r, orbits, *args))
             flags = _orbit_flags(copy, block)
-        assert ("matrices" in vars(copy)) == bool(fallbacks)
+        assert "matrices" not in vars(copy)
+        for orbits in fallbacks:
+            dense = _orbits(unbuilt(rep).matrices, _scaled_block(rep, block)[0])
+            assert orbits.tobytes() == dense.tobytes()
         decided += not fallbacks
         reference = classify_block(rep, block)
         for f in fields(OrbitFlags):

@@ -580,6 +580,28 @@ def test_overflowing_orbit_exit_2_without_warnings(capsys, argv):
                             "or the vector is not finite\n")
 
 
+@pytest.mark.parametrize("argv, cause", [
+    # a finite frame operator whose entries lie within a factor 2 of the
+    # float maximum: its Hermitian part (S + S*) / 2 overflows
+    (["classify", "--rep", "gabor", "--lattice", "8,4,4", "--vector=" + ",".join(["6e153"] * 8)],
+     "matrix entries are too large: its Hermitian part overflows float64"),
+    (["verify-duality", "--pair", "gabor", "--lattice", "8,4,4",
+      "--vector=" + ",".join(["6e153"] * 8)],
+     "matrix entries are too large: its Hermitian part overflows float64"),
+    # a Hermitian part that fits, with an eigenvalue 64 * 2.5e153^2 that does not
+    (["classify", "--group", "Z8", "--vector=" + ",".join(["2.5e153"] * 8)],
+     "matrix is too large: its eigenvalues overflow float64"),
+    (["dilate", "--group", "Z8", "--vector=4e153,4e153,4e153,4e153,0,0,0,0",
+      "--mode", "parseval"],
+     "matrix is too large: its eigenvalues overflow float64"),
+])
+def test_overflowing_frame_operator_exit_2(capsys, argv, cause):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"framedual: invalid input: {cause}\n"
+
+
 @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "infj"])
 @pytest.mark.parametrize("argv", [
     ["classify", "--group", "Z4", "--vector"],

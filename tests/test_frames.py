@@ -191,6 +191,20 @@ def test_parseval_normalize_projects_to_span_projection():
         assert subspace_equal(rank_and_range(orbit_cols)[1], rank_and_range(new_cols)[1])
 
 
+def test_parseval_normalize_is_scale_free():
+    # a frame operator of a vector this small underflows to zero; S^-1/2 x
+    # does not depend on the scale of x
+    lam = lam_of(4)
+    for tiny in (1e-170, 5e-324):
+        assert np.array_equal(parseval_normalize(lam, tiny * chi(4, 0)), chi(4, 0))
+        result = dilate_to_complete(lam, tiny * chi(4, 0), mode="parseval")
+        assert np.array_equal(result.vector, chi(4, 0))
+    rep = gabor_rep(GaborLattice(6, 1, 2))
+    xi = random_complex_vector(substream(84, 0), 6)
+    np.testing.assert_allclose(parseval_normalize(rep, np.ldexp(1.0, -900) * xi),
+                               parseval_normalize(rep, xi), rtol=0, atol=1e-12)
+
+
 def test_parseval_normalize_rejects_zero():
     with pytest.raises(InvalidParameterError):
         parseval_normalize(lam_of(3), np.zeros(3))
