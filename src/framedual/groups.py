@@ -3,7 +3,10 @@
 Group elements are the indices ``0 .. order-1``; multiplication, identity and
 inversion are all table lookups, so there is no hashing or symbolic element
 type anywhere.  A cocycle ("multiplier") is an order x order table of
-unit-modulus complex numbers twisting operator compositions.
+unit-modulus complex numbers twisting operator compositions.  The built-in
+cocycles (trivial, time-frequency and so Heisenberg and Gabor) are stored by
+their integer exponents, mu(g, h) = exp(-2 pi i shift[g] ramp[h] / n): they
+are certified in O(|S| |G| + n^2) and their table is built only when read.
 """
 
 from __future__ import annotations
@@ -188,22 +191,67 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(cay, identity, inverse, label=f"{g1.label}x{g2.label}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Multiplier:
-    """A 2-cocycle on a finite group: a unit-modulus table mu[g, h]."""
+    """A 2-cocycle on a finite group: a unit-modulus table mu[g, h].
 
-    group: FiniteGroup
-    table: np.ndarray
+    Multiplier(group, table) stores a copy of the order x order table it is
+    given.  time_frequency_multiplier, and through it the other built-in
+    cocycles, store the exponent form instead: integer arrays shift and
+    ramp of shape (order,), reduced mod the modulus n, with
+    mu[g, h] = roots[(shift[g] ramp[h]) mod n] for the n-th roots of unity
+    roots[k] = exp(-2 pi i k / n).  Then .table is looked up on first read
+    and cached, and row(g) gives one row without it.  Either way .table is a
+    read-only C-contiguous complex128 array; shift, ramp and modulus are
+    None for a dense multiplier.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        t = np.array(self.table, dtype=complex, order="C")  # a copy: the caller keeps its array
-        if t.shape != (self.group.order, self.group.order):
+    shift: np.ndarray | None = None
+    ramp: np.ndarray | None = None
+    modulus: int | None = None
+
+    def __init__(self, group: FiniteGroup, table):
+        t = np.array(table, dtype=complex, order="C")  # a copy: the caller keeps its array
+        if t.shape != (group.order, group.order):
             raise InvalidParameterError(
                 f"multiplier table shape {t.shape} does not match group order "
-                f"{self.group.order}"
+                f"{group.order}"
             )
         t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        vars(self).update(group=group, table=t)
+
+    @classmethod
+    def _exponents(cls, group: FiniteGroup, shift, ramp, n: int) -> "Multiplier":
+        """The exponent form, for callers that have checked it: shift and
+        ramp integer arrays of shape (order,), n >= 1."""
+        mu = cls.__new__(cls)
+        shift = np.asarray(shift, dtype=np.int64) % n
+        ramp = np.asarray(ramp, dtype=np.int64) % n
+        shift.setflags(write=False)
+        ramp.setflags(write=False)
+        vars(mu).update(group=group, shift=shift, ramp=ramp, modulus=n)
+        return mu
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Multiplier is immutable: cannot set {name!r}")
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """exp(-2 pi i k / n) for k = 0 .. n-1, the entries of the exponent form."""
+        return np.exp(-2j * np.pi * np.arange(self.modulus) / self.modulus)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The order x order table mu[g, h]; read-only."""
+        t = self._roots[np.outer(self.shift, self.ramp) % self.modulus]
+        t.setflags(write=False)
+        return t
+
+    def row(self, g: int) -> np.ndarray:
+        """mu(g, .), bit for bit .table[g]; the exponent form looks it up
+        without building the table."""
+        if self.modulus is None:
+            return self.table[g]
+        return self._roots[self.shift[g] * self.ramp % self.modulus]
 
     def __eq__(self, other):
         if not isinstance(other, Multiplier):
@@ -298,8 +346,64 @@ def _cocycle_residuals(t: np.ndarray, cay: np.ndarray, g1: int) -> np.ndarray:
 
 
 def certify_multiplier(mu: Multiplier) -> bool:
-    """A sufficient test, O(|S| |G|^2), that validate_multiplier(mu) passes
-    at UNIT_TOL; False means only that the exhaustive check has to decide.
+    """A sufficient test that validate_multiplier(mu) passes at UNIT_TOL;
+    False means only that the exhaustive check has to decide.
+
+    A multiplier in exponent form is certified from its exponents in
+    O(|S| |G| + n^2), without its table.  A dense one, and one whose
+    exponents miss that certificate, is certified from its table in
+    O(|S| |G|^2).
+    """
+    if mu.modulus is not None and _certify_exponents(mu):
+        return True
+    return _certify_table(mu)
+
+
+def _certify_exponents(mu: Multiplier) -> bool:
+    """certify_multiplier on the exponent form: mu(g, h) = r[a_g b_h], with
+    a = shift, b = ramp, r the n-th roots of unity and indices mod n.
+
+    It checks that a and b are homomorphisms into Z_n on the generator rows,
+    x[s h] = x[s] + x[h] for s in S and every h.  Then they are on all
+    pairs, exactly: h = e gives x[e] = 0, and for a word g = s g' with the
+    identity known for g', x[g h] = x[s] + x[g'] + x[h] = x[g] + x[h].  So
+    row and column e are r[0] and mu(g, g^-1) = r[-a_g b_g] = mu(g^-1, g):
+    normalization holds when |r[0] - 1| <= UNIT_TOL, and inverse symmetry
+    with residual 0.  The two sides of a cocycle triple,
+    mu(g1, g2 g3) mu(g2, g3) and mu(g1 g2, g3) mu(g1, g2), are products
+    r_i r_j and r_k r_l with i + j = k + l = a1 b2 + a1 b3 + a2 b3.
+
+    Every index is a multiple of step = gcd(n, gcd(a) gcd(b)), so unit
+    modulus and the products are checked on those roots only, by the
+    computed D = max |r_i r_j - r_(i+j)|.  A computed complex product of two entries
+    is within sqrt(5) u |x| |y| < 1.2 eps of the exact one whether or not
+    numpy forms it with FMA (u = eps / 2; Brent, Percival and Zimmermann
+    2007), and a computed modulus within a factor 1 + 2 eps of the exact
+    one.  So each exact |r_i r_j - r_(i+j)| is at most D + 1.3 eps, and a
+    residual that validate_multiplier computes is under 2 D + 6 eps, which
+    is under 2 D + 2 ROUNDING.  The certificate passes when
+    D <= UNIT_TOL / 2 - ROUNDING, about 5e-13; D is at most 3.1e-15 for
+    every n up to 300.
+    """
+    group, n = mu.group, mu.modulus
+    gens = group.generating_set
+    if gens.depth == 0:  # the trivial group: nothing to save
+        return False
+    cay = group.cayley
+    for x in (mu.shift, mu.ramp):
+        if not all(np.array_equal(x[cay[s]], (x[s] + x) % n) for s in gens.elements):
+            return False
+    step = math.gcd(n, int(np.gcd.reduce(mu.shift)) * int(np.gcd.reduce(mu.ramp)))
+    k = np.arange(0, n, step)
+    r = mu._roots[k]
+    if not (np.abs(np.abs(r) - 1.0).max() <= UNIT_TOL and abs(r[0] - 1.0) <= UNIT_TOL):
+        return False
+    drift = np.abs(np.multiply.outer(r, r) - mu._roots[np.add.outer(k, k) % n])
+    return bool(drift.max() <= UNIT_TOL / 2 - ROUNDING)
+
+
+def _certify_table(mu: Multiplier) -> bool:
+    """certify_multiplier on the table, O(|S| |G|^2).
 
     Unit modulus and inverse symmetry are checked at UNIT_TOL, as
     validate_multiplier checks them.  The normalization and the cocycle
@@ -349,21 +453,30 @@ def certify_multiplier(mu: Multiplier) -> bool:
 
 
 def trivial_multiplier(group: FiniteGroup) -> Multiplier:
-    """The constant-one cocycle (ordinary representations)."""
-    n = group.order
-    return Multiplier(group, np.ones((n, n), dtype=complex))
+    """The constant-one cocycle (ordinary representations), in exponent
+    form with n = 1."""
+    zeros = np.zeros(group.order, dtype=np.int64)
+    return time_frequency_multiplier(group, zeros, zeros, 1)
 
 
 def time_frequency_multiplier(group: FiniteGroup, shift, ramp, n: int) -> Multiplier:
     """mu(g, h) = exp(-2 pi i (shift[g] ramp[h] mod n) / n), the scalar that
-    T^shift[g] picks up moving past M^ramp[h] on C^n.
+    T^shift[g] picks up moving past M^ramp[h] on C^n, in exponent form.
 
-    The exponent is reduced mod n and the table looked up among the n-th
+    The exponent is reduced mod n and the entry looked up among the n-th
     roots of unity, one exp per residue, so every entry carries the roundoff
     of one root whatever the size of shift[g] ramp[h].
     """
-    roots = np.exp(-2j * np.pi * np.arange(n) / n)
-    return Multiplier(group, roots[np.outer(shift, ramp) % n])
+    shift, ramp = np.asarray(shift), np.asarray(ramp)
+    if n < 1:
+        raise InvalidParameterError("need n >= 1")
+    for name, x in (("shift", shift), ("ramp", ramp)):
+        if x.shape != (group.order,) or x.dtype.kind not in "iu":
+            raise InvalidParameterError(
+                f"{name} {x.shape} ({x.dtype}) must be an integer array of shape "
+                f"(order {group.order},)"
+            )
+    return Multiplier._exponents(group, shift, ramp, n)
 
 
 def heisenberg_multiplier(n: int) -> Multiplier:

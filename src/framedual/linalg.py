@@ -157,9 +157,13 @@ def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v`` so
     that ``a = v @ diag(w) @ v.conj().T``, matrix by matrix for a stack of
     shape ``(..., n, n)``.  A matrix whose Hermitian defect exceeds
-    ``tol * ||a||`` is rejected; the defect that remains is folded away by
-    symmetrizing before one LAPACK call over the whole stack.  Finite
-    entries can still overflow float64 there: a matrix whose symmetrized
+    ``tol * max(||a||, 1)`` is rejected; the defect that remains is folded
+    away by symmetrizing before one LAPACK call over the whole stack.  The
+    defect and the norm are taken on a copy scaled by the power of two
+    2^-k just above the largest real or imaginary part (k >= -1023), so
+    that neither overflows; the scaling is exact, so the comparison is the
+    unscaled one wherever that is finite.  Finite entries can still
+    overflow float64 in the symmetrized matrix: a matrix whose symmetrized
     entries or whose eigenvalues overflow is rejected too.
     """
     m = np.asarray(a, dtype=complex)
@@ -167,19 +171,23 @@ def hermitian_eig(a, tol: float = EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidParameterError("hermitian_eig needs a square matrix or a stack of them")
     if m.size and not np.all(np.isfinite(m)):
         raise InvalidParameterError("matrix entries must be finite")
-    adjoint = m.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is decided below
-        scale = np.linalg.norm(m, axis=(-2, -1))
-        defect = np.linalg.norm(m - adjoint, axis=(-2, -1))
-        symmetrized = (m + adjoint) / 2.0
-    bad = defect > tol * np.maximum(scale, 1.0)
+    largest = np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
+    factor = np.ldexp(1.0, np.minimum(-np.frexp(largest)[1], 1023))
+    scaled = m * factor[..., None, None]
+    scale = np.linalg.norm(scaled, axis=(-2, -1))
+    defect = np.linalg.norm(scaled - scaled.conj().swapaxes(-1, -2), axis=(-2, -1))
+    bad = defect > tol * np.maximum(scale, factor)
     if np.any(bad):
         first = tuple(int(i) for i in np.argwhere(bad)[0])
         where = f" {first}" if first else ""
+        with np.errstate(over="ignore"):  # a defect past float64 shows as inf
+            shown = defect[first] / factor[first]
         raise InvalidParameterError(
-            f"matrix{where} is not Hermitian: defect "
-            f"{defect[first]:.3e} exceeds {tol:.1e} * scale"
+            f"matrix{where} is not Hermitian: defect {shown:.3e} exceeds {tol:.1e} * scale"
         )
+    adjoint = m.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is decided below
+        symmetrized = (m + adjoint) / 2.0
     if not np.all(np.isfinite(symmetrized)):
         raise InvalidParameterError(
             "matrix entries are too large: its Hermitian part overflows float64")

@@ -28,6 +28,7 @@ from .groups import (
     Multiplier,
     certify_multiplier,
     cyclic_group,
+    time_frequency_multiplier,
     trivial_multiplier,
     validate_multiplier,
 )
@@ -265,8 +266,9 @@ def _require_valid(group: FiniteGroup, mu: Multiplier) -> None:
     """Reject a multiplier defined on another group, or one that fails
     validate_multiplier at UNIT_TOL, naming its first counterexample.
 
-    certify_multiplier decides first, at O(|S| |G|^2); only a table it does
-    not certify goes through the all-triples check.  The certificate passes
+    certify_multiplier decides first, at O(|S| |G|^2), or O(|S| |G| + n^2)
+    for a multiplier in exponent form; only one it does not certify goes
+    through the all-triples check.  The certificate passes
     only tables that the all-triples check passes, so the accepted tables
     and the messages of rejected ones are those of the all-triples check.
     """
@@ -298,13 +300,17 @@ def right_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
     Its cocycle is nu(g, h) = mu(h^-1, g^-1).  This coincides with the
     entrywise conjugate of mu exactly when mu(g, g^-1) = 1 for all g (in
     particular for ordinary representations); in general the two differ by
-    the coboundary of g -> mu(g, g^-1).
+    the coboundary of g -> mu(g, g^-1).  For mu in exponent form, nu is
+    too: r[shift[h^-1] ramp[g^-1]] swaps the roles of shift and ramp.
     """
     _require_valid(group, mu)
     inv = group.inverse
     perm = group.cayley.T  # row i = h g^-1 of R(g) holds mu(h, g^-1) in column h = i g
     phase = mu.table[perm, inv[:, None]]
-    nu = Multiplier(group, mu.table[np.ix_(inv, inv)].T)
+    if mu.modulus is None:
+        nu = Multiplier(group, mu.table[np.ix_(inv, inv)].T)
+    else:
+        nu = time_frequency_multiplier(group, mu.ramp[inv], mu.shift[inv], mu.modulus)
     return ProjectiveRep._monomial(group, nu, perm, phase, label=f"rho[{group.label}]")
 
 
@@ -323,7 +329,9 @@ def monomial_rep(group: FiniteGroup, mu: Multiplier, perm, phase,
     InvalidParameterError.  The rep stores perm and phase; its dense stack
     is built on first read of .matrices.
 
-    A certificate decides first, at O(|S| |G| dim): certify_multiplier
+    A certificate decides first, at O(|S| |G| dim) plus certify_multiplier's
+    cost, reading mu one generator row at a time (so a multiplier in
+    exponent form that certifies never builds its table): certify_multiplier
     passes, and the composition check holds for g in the generating set S
     only, with phase residuals gated at REP_TOL / (3L) (L the depth of S).
     On any miss the check runs for every g and mu goes through
@@ -405,7 +413,7 @@ def _composition_failure(group: FiniteGroup, mu: Multiplier, p: np.ndarray,
             h, i = np.argwhere(support != target)[0]
             return (f"pi({g}) pi({h}) is not a multiple of pi({g}*{h}): row {i} has its "
                     f"entry in column {support[h, i]}, not {target[h, i]}")
-        resid = np.abs(ph[g] * ph[:, p[g]] - mu.table[g][:, None] * ph[cay[g]])
+        resid = np.abs(ph[g] * ph[:, p[g]] - mu.row(g)[:, None] * ph[cay[g]])
         if not resid.max() <= gate:  # a NaN residual fails too
             h, i = np.unravel_index(int(resid.argmax()), resid.shape)
             return (f"pi({g}) pi({h}) differs from mu({g},{h}) pi({g}*{h}) by "

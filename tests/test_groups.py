@@ -407,6 +407,11 @@ def test_validate_multiplier_names_a_non_finite_entry(entry):
 
 def test_time_frequency_cocycle_certifies_at_every_size():
     # the exponent is reduced mod N before the lookup, so the roundoff of
-    # the table does not grow with N and never reaches the certificate's gate
+    # the table does not grow with N and never reaches the certificate's
+    # gate: the exponent form certifies without its table, and a dense copy
+    # of the table certifies on the generator slices
     for n in range(2, 41):
-        assert certify_multiplier(heisenberg_multiplier(n)), n
+        mu = heisenberg_multiplier(n)
+        assert certify_multiplier(mu), n
+        assert "table" not in vars(mu)
+        assert certify_multiplier(Multiplier(mu.group, mu.table)), n

@@ -47,6 +47,15 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eig_defect_gate_holds_where_the_norms_overflow():
+    # the Frobenius norms of both matrices overflow float64; the defect is
+    # compared on a copy scaled by a power of two
+    with pytest.raises(InvalidParameterError, match="not Hermitian"):
+        hermitian_eig(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+    w, _ = hermitian_eig(np.array([[0.0, 1e200], [1e200, 0.0]]))
+    assert w.tolist() == [-1e200, 1e200]
+
+
 def test_eig_stack_matches_single_matrices():
     stack = np.stack([random_hermitian(substream(42, k), 5) for k in range(4)])
     w, v = hermitian_eig(stack)
