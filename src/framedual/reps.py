@@ -268,9 +268,10 @@ def _require_valid(group: FiniteGroup, mu: Multiplier) -> None:
 
     certify_multiplier decides first, at O(|S| |G|^2), or O(|S| |G| + n^2)
     for a multiplier in exponent form; only one it does not certify goes
-    through the all-triples check.  The certificate passes
-    only tables that the all-triples check passes, so the accepted tables
-    and the messages of rejected ones are those of the all-triples check.
+    through validate_multiplier, whose reports are those of the all-triples
+    check.  The certificate passes only tables that the all-triples check
+    passes, so the accepted tables and the messages of rejected ones are
+    those of the all-triples check.
     """
     if not (mu.group == group):
         raise InvalidParameterError("multiplier is defined on a different group")
@@ -289,7 +290,7 @@ def left_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
     in column g^-1 i."""
     _require_valid(group, mu)
     perm = group.cayley[group.inverse]
-    phase = np.take_along_axis(mu.table, perm, axis=1)
+    phase = mu.entries(np.arange(group.order)[:, None], perm)
     return ProjectiveRep._monomial(group, mu, perm, phase, label=f"lambda[{group.label}]")
 
 
@@ -306,7 +307,7 @@ def right_regular(group: FiniteGroup, mu: Multiplier) -> ProjectiveRep:
     _require_valid(group, mu)
     inv = group.inverse
     perm = group.cayley.T  # row i = h g^-1 of R(g) holds mu(h, g^-1) in column h = i g
-    phase = mu.table[perm, inv[:, None]]
+    phase = mu.entries(perm, inv[:, None])
     if mu.modulus is None:
         nu = Multiplier(group, mu.table[np.ix_(inv, inv)].T)
     else:

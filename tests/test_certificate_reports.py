@@ -1,8 +1,10 @@
 """Reports of built-in constructions do not depend on whether the generator
-certificate or the exhaustive check accepted the representation."""
+certificate or the exhaustive check accepted the representation, nor on
+whether validate read its report from the exponents or scanned the table."""
 
 import pytest
 
+import framedual.groups as groups_module
 import framedual.reps as reps_module
 from framedual.cli import main
 
@@ -36,20 +38,29 @@ def run(capsys, argv):
 @pytest.mark.parametrize("name", COMMANDS)
 def test_report_bytes_match_the_exhaustive_route(monkeypatch, capsys, name):
     argv = COMMANDS[name]
-    fallbacks = []
+    fallbacks, scans = [], []
     validate = reps_module.validate_multiplier
+    residuals = groups_module._cocycle_residuals
 
     def counted(mu):
         fallbacks.append(mu)
         return validate(mu)
 
+    def scanned(t, cay, g1):
+        scans.append(g1)
+        return residuals(t, cay, g1)
+
     monkeypatch.setattr(reps_module, "validate_multiplier", counted)
+    monkeypatch.setattr(groups_module, "_cocycle_residuals", scanned)
     code, report = run(capsys, argv)
-    assert fallbacks == []  # every built-in construction took the certificate
+    # every built-in construction took the certificate, and validate its
+    # report from the exponents
+    assert fallbacks == [] and scans == []
     with monkeypatch.context() as m:
         m.setattr(reps_module, "certify_multiplier", lambda mu: False)
+        m.setattr(groups_module, "_homomorphic_exponents", lambda mu: None)
         full_code, full_report = run(capsys, argv)
-    # the forced route ran the exhaustive check (validate runs it anyway)
-    assert fallbacks or argv[0] == "validate"
+    # the forced route ran the exhaustive check, over the dense table
+    assert (fallbacks or argv[0] == "validate") and scans
     assert code == full_code == 0
     assert report == full_report and report.startswith("{")

@@ -1,6 +1,9 @@
 """Cocycles stored by their integer exponents: the table looked up on first
-read and each row without it, bit for bit the dense formulas, and the
-exponent certificate held against the exhaustive check."""
+read and each row without it, bit for bit the dense formulas, the exponent
+certificate held against the exhaustive check, and validation reports from
+the exponents byte for byte those of the dense scan."""
+
+import json
 
 import numpy as np
 import pytest
@@ -24,8 +27,13 @@ from framedual import (
     trivial_multiplier,
     validate_multiplier,
 )
-from framedual.groups import _certify_exponents, time_frequency_multiplier
+from framedual.groups import (
+    _certify_exponents,
+    _homomorphic_exponents,
+    time_frequency_multiplier,
+)
 from framedual.linalg import random_complex_vector, substream
+from framedual.serialize import report_to_json
 from conftest import dihedral_cayley
 
 
@@ -214,3 +222,90 @@ def test_gabor_build_and_classify_leave_the_table_unbuilt(n, a, b):
     assert "table" not in vars(rep.multiplier)
     classify(rep, random_complex_vector(substream(21, n), n))
     assert "table" not in vars(rep.multiplier)
+
+
+REGULAR_MULTIPLIERS = {
+    "trivial-Z64": lambda: trivial_multiplier(cyclic_group(64)),
+    "trivial-D5": lambda: trivial_multiplier(from_cayley_table(dihedral_cayley(5))),
+    "heisenberg8": lambda: heisenberg_multiplier(8),
+    "gabor-12-3-2": lambda: gabor_rep(GaborLattice(12, 3, 2)).multiplier,
+    "gabor-16-1-1": lambda: gabor_rep(GaborLattice(16, 1, 1)).multiplier,
+}
+
+
+@pytest.mark.parametrize("name", REGULAR_MULTIPLIERS)
+def test_regular_phases_come_from_the_exponents(name):
+    mu = REGULAR_MULTIPLIERS[name]()
+    group = mu.group
+    left, right = left_regular(group, mu), right_regular(group, mu)
+    assert "table" not in vars(mu)
+    table = REGULAR_MULTIPLIERS[name]().table
+    inv = group.inverse
+    assert left.phase.tobytes() == np.take_along_axis(table, left.perm, axis=1).tobytes()
+    assert right.phase.tobytes() == table[right.perm, inv[:, None]].tobytes()
+
+
+def validation_bytes(mu, **kwargs):
+    return json.dumps(report_to_json(validate_multiplier(mu, **kwargs)))
+
+
+def assert_report_of_the_dense_scan(mu, **kwargs):
+    """validate_multiplier prints the bytes of the dense copy's report, and
+    reads the table only for exponents that are no homomorphisms, on the
+    trivial group, or for a report that fails."""
+    report = validate_multiplier(mu, **kwargs)
+    exponent_route = _homomorphic_exponents(mu) is not None and report.passed
+    assert ("table" not in vars(mu)) == exponent_route
+    dense = Multiplier(mu.group, mu.table)
+    assert validation_bytes(mu, **kwargs) == validation_bytes(dense, **kwargs)
+    return report
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 20))
+def test_heisenberg_report_is_the_dense_scan(n):
+    assert assert_report_of_the_dense_scan(heisenberg_multiplier(n)).passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattices().filter(lambda lattice: lattice.n ** 2 <= 144 * lattice.a * lattice.b))
+def test_gabor_report_is_the_dense_scan(lattice):
+    assert assert_report_of_the_dense_scan(gabor_rep(lattice).multiplier).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclic_product_exponents())
+def test_cyclic_product_report_is_the_dense_scan(drawn):
+    group, shift, ramp, n = drawn
+    assert_report_of_the_dense_scan(time_frequency_multiplier(group, shift, ramp, n))
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_trivial_report_is_the_dense_scan(name):
+    assert assert_report_of_the_dense_scan(trivial_multiplier(GROUPS[name]())).passed
+
+
+def test_failing_and_forged_reports_fall_back_to_the_dense_scan():
+    # no homomorphism: a failing report, and a passing one of a constant table
+    report = assert_report_of_the_dense_scan(forged(5, 1))
+    assert not report.passed and report.counterexample[0] == "cocycle"
+    assert assert_report_of_the_dense_scan(
+        forged(5, 1, ramp=np.zeros(16, dtype=np.int64))).passed
+    # a tolerance below the residual: the scan's first counterexample
+    worst = validate_multiplier(heisenberg_multiplier(6)).max_residual
+    assert worst > 0
+    report = assert_report_of_the_dense_scan(heisenberg_multiplier(6), tol=worst / 2)
+    assert not report.passed and report.counterexample is not None
+    # Z1 has no generators
+    mu = heisenberg_multiplier(1)
+    assert _homomorphic_exponents(mu) is None
+    assert assert_report_of_the_dense_scan(mu).passed
+
+
+def test_report_of_roots_off_the_circle_is_the_dense_scan():
+    """Roots scaled off the unit circle: unit modulus, not the cocycle
+    identity, sets max_residual, and above the normalization residual."""
+    mu = heisenberg_multiplier(6)
+    vars(mu)["_roots"] = mu._roots * (1 + 2.5e-14)
+    report = assert_report_of_the_dense_scan(mu)
+    assert report.passed and report.max_residual > abs(mu._roots[0] - 1) > 1e-14
