@@ -13,6 +13,7 @@ from .duality import (
     CommutingPairCheck,
     DualPairReport,
     DualityVerdict,
+    PairCertificate,
     SweepReport,
     certify_dual_pair,
     duality_sweep,
@@ -20,6 +21,7 @@ from .duality import (
     make_gabor_pair,
     make_regular_pair,
     make_regular_subpair,
+    pair_certificate,
     verify_duality,
 )
 from .errors import (

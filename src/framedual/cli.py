@@ -59,6 +59,8 @@ EXIT_SEARCH_EXHAUSTED = 4
 # the ones its handler reads (build_parser); only those reach meta.tolerances.
 TOLERANCES = {"rank_tol": RANK_TOL, "flag_tol": FLAG_TOL, "pair_tol": PAIR_TOL,
               "route_tol": ROUTE_TOL, "unit_tol": UNIT_TOL, "rep_tol": REP_TOL}
+TOLERANCE_HELP = {"pair_tol": "gate on the largest entry of a generator commutator "
+                              "pi(s) sigma(t) - sigma(t) pi(s) (default %(default)s)"}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -293,7 +295,8 @@ def _add_common(parser: argparse.ArgumentParser, *tolerances: str, seed: bool = 
     if seed:
         parser.add_argument("--seed", type=int, default=0)
     for name in tolerances:
-        parser.add_argument("--" + name.replace("_", "-"), type=float, default=TOLERANCES[name])
+        parser.add_argument("--" + name.replace("_", "-"), type=float, default=TOLERANCES[name],
+                            help=TOLERANCE_HELP.get(name))
     parser.add_argument("--config", help="JSON file whose keys override these flags")
 
 
@@ -374,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_value_ok(action: argparse.Action, value) -> bool:
     """Whether a JSON value could have come from the flag on the command
-    line: a bool for a switch, a number of the flag's type, a string for an
+    line: a bool for a switch, a number of the flag's type (for a float
+    flag, an integer only if it converts to a float), a string for an
     untyped flag, and one of its choices if it has any."""
     if action.nargs == 0:
         return isinstance(value, bool)
@@ -383,10 +387,18 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
     if action.type is int:
         ok = isinstance(value, int)
     elif action.type is float:
-        ok = isinstance(value, (int, float))
+        ok = isinstance(value, float) or (isinstance(value, int) and _converts_to_float(value))
     else:
         ok = isinstance(value, str)
     return ok and (action.choices is None or value in action.choices)
+
+
+def _converts_to_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _apply_config(parser: argparse.ArgumentParser, args) -> None:

@@ -5,7 +5,21 @@ A pair (pi, sigma) acting on the same space is *commuting* when the
 commutant of pi(G) equals the von Neumann algebra generated by sigma(G); it
 is a *dual pair* when additionally pi admits a complete frame vector (which
 in finite dimensions is automatically Bessel for sigma) and sigma admits a
-Riesz vector.  For dual pairs, three biconditional clauses tie the two orbit
+Riesz vector.
+
+pair_certificate decides the commuting condition without forming either
+algebra.  sigma(G)'' lies in pi(G)' iff the generators commute, since a
+projective image is spanned by words in its generators; the two algebras
+are then equal iff their dimensions agree.  dim pi(G)' is
+|G|^-1 sum_g |tr pi(g)|^2, and dim sigma(G)'' is the rank of the
+Hilbert-Schmidt Gram tr(sigma(g)* sigma(h)), whose nonzero eigenvalues
+|G| m_i / d_i (sigma holding the mu-irreducible sigma_i of degree d_i with
+multiplicity m_i) are all at least sqrt|G|, so the rank cut at sqrt|G| / 2
+needs no tolerance.  is_commuting_pair takes its verdict and dimensions
+from the certificate and adds the principal-angle residual between the two
+algebras, which certify-pair and sweep reports carry.
+
+For dual pairs, three biconditional clauses tie the two orbit
 classifications of one and the same vector together; the sweep machinery
 hammers those clauses with seeded random and adversarial vectors and treats
 any failure as a counterexample worth dumping.  Clauses read orbit flags
@@ -20,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPairError, InvalidParameterError
+from .errors import InvalidPairError, InvalidParameterError, NotProjectiveError
 from .frames import (
     FLAG_TOL,
     FrameClassification,
@@ -36,7 +50,7 @@ from .linalg import RANK_TOL, random_complex_block, random_complex_vector, subst
 from .reps import ProjectiveRep, left_regular, right_regular, subrepresentation
 from .vonneumann import operator_subspace_residual
 
-PAIR_TOL = 1e-8  # principal-angle gate for operator-algebra equality
+PAIR_TOL = 1e-8  # gate on the largest entry of a generator commutator
 
 ALL_CLAUSES = ("frame_sequence", "frame_riesz", "parseval_orthonormal")
 
@@ -51,8 +65,22 @@ SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
+class PairCertificate:
+    """pair_certificate's decision of pi(G)' = sigma(G)'': the largest entry
+    of pi(s) sigma(t) - sigma(t) pi(s) over the generators s of pi's group
+    and t of sigma's, and the two dimensions."""
+
+    is_pair: bool
+    commutator: float
+    pi_commutant_dim: int
+    sigma_algebra_dim: int
+
+
+@dataclass(frozen=True)
 class CommutingPairCheck:
-    """Verdict of the algebra comparison pi(G)' vs sigma(G)''."""
+    """Verdict of the algebra comparison pi(G)' vs sigma(G)'': the verdict and
+    dimensions of pair_certificate, and the principal-angle residual between
+    the two algebras as subspaces of matrix space."""
 
     is_pair: bool
     residual: float
@@ -122,20 +150,107 @@ class SweepReport:
     counterexamples: list[SweepCounterexample] = field(default_factory=list)
 
 
-def is_commuting_pair(pi: ProjectiveRep, sigma: ProjectiveRep,
-                      tol: float = PAIR_TOL,
-                      rank_tol: float = RANK_TOL) -> CommutingPairCheck:
-    """Compare pi(G)' with sigma(G)'' as subspaces of matrix space: the
-    range of pi's group average against the span of sigma's image."""
+def pair_certificate(pi: ProjectiveRep, sigma: ProjectiveRep,
+                     tol: float = PAIR_TOL) -> PairCertificate:
+    """Decide pi(G)' = sigma(G)'' from generators and characters.
+
+    The pair passes when every generator commutator has no entry above tol
+    and dim pi(G)' = dim sigma(G)''.  Both reps must be projective unitary,
+    as the constructions and verify_rep ensure.  A trace formula for
+    dim pi(G)' farther than 1/4 from an integer raises NotProjectiveError.
+    """
     if pi.dim != sigma.dim:
         raise InvalidParameterError(
             f"representations act on different spaces: {pi.dim} vs {sigma.dim}"
         )
-    comm = pi.commutant()
-    alg = sigma.algebra(rank_tol)
-    residual = operator_subspace_residual(comm, alg)
-    equal = comm.dim == alg.dim and residual < tol
-    return CommutingPairCheck(equal, residual, comm.dim, alg.dim)
+    commutator = _generator_commutator(pi, sigma)
+    comm_dim = _commutant_dim(pi)
+    alg_dim = _algebra_dim(sigma)
+    return PairCertificate(commutator <= tol and comm_dim == alg_dim, commutator,
+                           comm_dim, alg_dim)
+
+
+def _generator_commutator(pi: ProjectiveRep, sigma: ProjectiveRep) -> float:
+    """The largest entry of |pi(s) sigma(t) - sigma(t) pi(s)| over the
+    generators s of pi's group and t of sigma's (0.0 if either has none).
+
+    For two monomial reps, row i of pi(s) sigma(t) holds
+    phase_pi[s, i] phase_sigma[t, perm_pi[s, i]] in column
+    perm_sigma[t, perm_pi[s, i]], and row i of sigma(t) pi(s) likewise with
+    the roles swapped: a row whose two columns differ has entries of modulus
+    1 in two places, one whose columns agree the difference of its values.
+    """
+    s = list(pi.group.generating_set.elements)
+    t = list(sigma.group.generating_set.elements)
+    if not (s and t):
+        return 0.0
+    if pi.perm is None or sigma.perm is None:
+        a, b = pi.matrices[s][:, None], sigma.matrices[t][None]
+        return float(np.abs(a @ b - b @ a).max())
+    pp, qp = pi.perm[s], pi.phase[s]            # (|S_pi|, d)
+    ps, qs = sigma.perm[t], sigma.phase[t]      # (|S_sigma|, d)
+    # index [s, t, i]: row i of pi(s) sigma(t) and of sigma(t) pi(s)
+    col_ab = ps[:, pp].transpose(1, 0, 2)
+    col_ba = pp[:, ps]
+    val_ab = qp[:, None] * qs[:, pp].transpose(1, 0, 2)
+    val_ba = qs[None] * qp[:, ps]
+    resid = np.where(col_ab == col_ba, np.abs(val_ab - val_ba),
+                     np.maximum(np.abs(val_ab), np.abs(val_ba)))
+    return float(resid.max())
+
+
+def _characters(rep: ProjectiveRep) -> np.ndarray:
+    """tr pi(g) for every g: for a monomial rep the sum of phase[g, i] over
+    the fixed points perm[g, i] = i."""
+    if rep.perm is None:
+        return np.trace(rep.matrices, axis1=1, axis2=2)
+    return np.where(rep.perm == np.arange(rep.dim), rep.phase, 0.0).sum(axis=1)
+
+
+def _commutant_dim(rep: ProjectiveRep) -> int:
+    """dim pi(G)' = |G|^-1 sum_g |tr pi(g)|^2, the trace of the group
+    average (Schur: the sum of the squared multiplicities)."""
+    value = float(np.sum(np.abs(_characters(rep)) ** 2)) / rep.group.order
+    nearest = np.rint(value)
+    if not abs(value - nearest) <= 0.25:  # a NaN fails too
+        raise NotProjectiveError(
+            f"trace formula for the commutant of {rep.label} gives {value:.6f}, "
+            f"not an integer; the family is not projective unitary"
+        )
+    return int(nearest)
+
+
+def _algebra_dim(rep: ProjectiveRep) -> int:
+    """dim pi(G)'', the rank of the Hilbert-Schmidt Gram T[g, h] =
+    tr(pi(g)* pi(h)), counted as its eigenvalues above sqrt|G| / 2.
+
+    For a monomial rep, pi(g)* = conj mu(g^-1, g) pi(g^-1) gives
+    T[g, h] = conj mu(g^-1, g) mu(g^-1, h) tr pi(g^-1 h), from the
+    characters in O(|G|^2); a dense rep's Gram is formed from its stack.
+    """
+    n = rep.group.order
+    if rep.perm is None:
+        flat = rep.matrices.reshape(n, -1)
+        gram = flat.conj() @ flat.T
+    else:
+        inv, mu = rep.group.inverse, rep.multiplier
+        elements = np.arange(n)
+        gram = (mu.entries(inv, elements).conj()[:, None] * mu.entries(inv[:, None], elements)
+                * _characters(rep)[rep.group.cayley[inv]])
+    return int(np.count_nonzero(np.linalg.eigvalsh(gram) > np.sqrt(n) / 2))
+
+
+def is_commuting_pair(pi: ProjectiveRep, sigma: ProjectiveRep,
+                      tol: float = PAIR_TOL,
+                      rank_tol: float = RANK_TOL) -> CommutingPairCheck:
+    """The verdict and both dimensions of pair_certificate at tol, and the
+    principal-angle residual between pi(G)' (the range of pi's group
+    average) and sigma(G)'' (the span of sigma's image, cut at rank_tol) as
+    subspaces of matrix space."""
+    certificate = pair_certificate(pi, sigma, tol)
+    residual = operator_subspace_residual(pi.commutant(), sigma.algebra(rank_tol))
+    return CommutingPairCheck(certificate.is_pair, residual, certificate.pi_commutant_dim,
+                              certificate.sigma_algebra_dim)
 
 
 def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
@@ -215,12 +330,13 @@ def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
       parseval_orthonormal  pi-orbit complete Parseval       <->  sigma-orbit orthonormal
 
     The last two clauses presuppose a dual pair.  A pair that is not even
-    commuting raises InvalidPairError.
+    commuting by pair_certificate at pair_tol raises InvalidPairError; no
+    operator algebra is formed.
     """
     unknown = set(clauses) - set(ALL_CLAUSES)
     if unknown:
         raise InvalidParameterError(f"unknown clauses: {sorted(unknown)}")
-    if not is_commuting_pair(pi, sigma, pair_tol, rank_tol).is_pair:
+    if not pair_certificate(pi, sigma, pair_tol).is_pair:
         raise InvalidPairError("representations do not form a commuting pair")
     x = np.asarray(xi, dtype=complex).reshape(-1)
     pc = classify(pi, x, rank_tol, flag_tol)

@@ -3,7 +3,9 @@ the command line.
 
 Complex scalars travel as [re, im] pairs.  A matrix is
 {"rows": r, "cols": c, "entries": [[re, im], ...]} with entries row-major; a
-vector is a flat list whose items may be numbers or [re, im] pairs.  Groups
+vector is a flat list whose items may be numbers or [re, im] pairs.  A list
+of numbers only, or of pairs only, is decoded by one numpy conversion; a
+list that mixes them goes entry by entry, with the same result.  Groups
 travel as {"order", "cayley", "label"} and are fully re-validated on ingest.
 Reports (classifications, validations, verdicts, sweeps, dilations) are
 written by one encoder, report_to_json, that follows their dataclass fields.
@@ -52,7 +54,8 @@ def _reader(fn):
             return fn(*args, **kwargs)
         except InvalidParameterError:
             raise
-        except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+        except (TypeError, ValueError, KeyError, IndexError, AttributeError,
+                OverflowError) as exc:  # OverflowError: an integer past float range
             raise InvalidParameterError(
                 f"malformed document for {fn.__name__}: {type(exc).__name__}: {exc}"
             ) from exc
@@ -72,13 +75,42 @@ def pair_to_complex(item) -> complex:
     raise InvalidParameterError(f"cannot read complex value from {item!r}")
 
 
+def _complex_array(items, ndim: int) -> np.ndarray:
+    """The complex array of a document nested ndim lists deep whose items
+    are numbers or [re, im] pairs, bit for bit as pair_to_complex reads each.
+
+    A document of numbers only, or of pairs only, becomes one numeric array
+    in one np.asarray, its parts assigned to .real and .imag (re + 1j * im
+    would turn a -0.0 real part into +0.0).  A document that mixes the two,
+    holds strings or holds integers past int64 goes entry by entry.
+    """
+    try:
+        arr = np.asarray(items)
+    except ValueError:  # ragged: pairs beside numbers
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":
+        if arr.ndim == ndim:
+            return arr.astype(complex)
+        if arr.ndim == ndim + 1 and arr.shape[-1] == 2:
+            out = np.empty(arr.shape[:-1], dtype=complex)
+            out.real = arr[..., 0]
+            out.imag = arr[..., 1]
+            return out
+
+    def per_entry(doc, depth):
+        if depth == 0:
+            return pair_to_complex(doc)
+        return [per_entry(item, depth - 1) for item in doc]
+    return np.array(per_entry(items, ndim), dtype=complex)
+
+
 def vector_to_json(v) -> list[list[float]]:
     return [complex_to_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
 @_reader
 def vector_from_json(items) -> np.ndarray:
-    return np.array([pair_to_complex(x) for x in items], dtype=complex)
+    return _complex_array(items, 1)
 
 
 def matrix_to_json(m) -> dict:
@@ -95,10 +127,10 @@ def matrix_to_json(m) -> dict:
 @_reader
 def matrix_from_json(doc) -> np.ndarray:
     rows, cols = int(doc["rows"]), int(doc["cols"])
-    entries = [pair_to_complex(x) for x in doc["entries"]]
+    entries = _complex_array(doc["entries"], 1)
     if len(entries) != rows * cols:
         raise InvalidParameterError("entry count does not match matrix shape")
-    return np.array(entries, dtype=complex).reshape(rows, cols)
+    return entries.reshape(rows, cols)
 
 
 def group_to_json(group: FiniteGroup) -> dict:
@@ -124,10 +156,7 @@ def multiplier_to_json(mu: Multiplier) -> dict:
 
 @_reader
 def multiplier_from_json(group: FiniteGroup, doc) -> Multiplier:
-    table = np.array(
-        [[pair_to_complex(x) for x in row] for row in doc["table"]], dtype=complex
-    )
-    return Multiplier(group, table)
+    return Multiplier(group, _complex_array(doc["table"], 2))
 
 
 def rep_to_json(rep: ProjectiveRep) -> dict:

@@ -615,3 +615,37 @@ def test_non_finite_vector_entry_exit_2(capsys, argv, entry):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "framedual: invalid input: vector entries must be finite\n"
+
+
+@pytest.mark.parametrize("entry", [[10**400, 0], 10**400])
+def test_bundle_integer_past_float_range_exit_2(tmp_path, capsys, entry):
+    from framedual import left_regular, trivial_multiplier
+
+    g = cyclic_group(3)
+    bundle = serialize.rep_to_json(left_regular(g, trivial_multiplier(g)))
+    bundle["matrices"][1]["entries"][0] = entry
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["validate", "--rep-json", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "OverflowError" in err and "Traceback" not in err
+
+
+def test_vector_file_integer_past_float_range_exit_2(tmp_path, capsys):
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps([[1, 0], [10**400, 0], [0, 1]]))
+    assert main(["classify", "--group", "Z3", "--vector", f"@{vec}"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and "Traceback" not in err
+
+
+def test_config_integer_past_float_range_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rank_tol": 10**400}))
+    assert main(["classify", "--group", "Z3", "--vector", "1,0,0",
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'rank_tol' has invalid value" in err and "Traceback" not in err
+    cfg.write_text(json.dumps({"rank_tol": 1}))  # an integer that converts is accepted
+    assert main(["classify", "--group", "Z3", "--vector", "1,0,0",
+                 "--config", str(cfg)]) == 0

@@ -1,7 +1,11 @@
 """JSON wire-format round trips and spec parsing."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedual import (
     GaborLattice,
@@ -185,3 +189,70 @@ def test_sweep_counterexample_dump_format():
     assert serialize.vector_from_json(
         doc["counterexamples"][0]["vector"]).tolist() == vec.astype(complex).tolist()
     assert classify(lam, vec).is_frame_sequence  # sanity on the carrier vector
+
+
+# JSON numbers: floats with signed zeros, infinities and NaN, ints inside and
+# past int64 (but inside float range), and bools
+json_numbers = (st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([0.0, -0.0, 2**63, 2**63 + 1, 2**64 - 1, 2**70 + 3, -2**63])
+                | st.integers(-2**53, 2**53) | st.booleans())
+json_pairs = st.lists(json_numbers, min_size=2, max_size=2)
+
+
+def per_entry(items, ndim):
+    """The entry-by-entry reader: pair_to_complex on every item."""
+    if ndim == 0:
+        return serialize.pair_to_complex(items)
+    return [per_entry(item, ndim - 1) for item in items]
+
+
+def assert_bit_equal(decoded, items, ndim):
+    expected = np.array(per_entry(items, ndim), dtype=complex)
+    assert decoded.shape == expected.shape
+    assert np.array_equal(decoded.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(json_pairs, max_size=12) | st.lists(json_numbers, max_size=12)
+       | st.lists(json_pairs | json_numbers, max_size=12))
+def test_vectors_decode_bit_for_bit_as_entry_by_entry(items):
+    assert_bit_equal(serialize.vector_from_json(items), items, 1)
+    doc = {"rows": 1, "cols": len(items), "entries": items}
+    assert_bit_equal(serialize.matrix_from_json(doc), [items], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(json_pairs, min_size=n, max_size=n), min_size=n, max_size=n)
+    | st.lists(st.lists(json_numbers, min_size=n, max_size=n), min_size=n, max_size=n)
+    | st.lists(st.lists(json_pairs | json_numbers, min_size=n, max_size=n),
+               min_size=n, max_size=n))))
+def test_multiplier_tables_decode_bit_for_bit_as_entry_by_entry(drawn):
+    n, table = drawn
+    mu = serialize.multiplier_from_json(cyclic_group(n), {"table": table})
+    assert_bit_equal(mu.table, table, 2)
+
+
+def test_signed_zeros_survive_the_bulk_decode():
+    v = serialize.vector_from_json([[-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0]])
+    assert np.signbit(v.real).tolist() == [True, False, True]
+    assert np.signbit(v.imag).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("items", [[[1, 2], [3]], [[1, 2, 3]], [[[1, 2]]], [["a", 1]],
+                                   [None], "12", 5, {"a": [1, 0]}])
+def test_malformed_vectors_still_raise(items):
+    with pytest.raises(InvalidParameterError):
+        serialize.vector_from_json(items)
+
+
+@pytest.mark.parametrize("entry", [[10**400, 0], [0, -10**400], 10**400])
+def test_integers_past_float_range_are_malformed(entry):
+    with pytest.raises(InvalidParameterError, match="OverflowError"):
+        serialize.vector_from_json([[1, 0], entry])
+    with pytest.raises(InvalidParameterError, match="OverflowError"):
+        serialize.matrix_from_json({"rows": 1, "cols": 2, "entries": [entry, [1, 0]]})
+    with pytest.raises(InvalidParameterError, match="OverflowError"):
+        serialize.multiplier_from_json(cyclic_group(1), {"table": [[entry]]})
+    json.dumps(entry)  # a document json can carry
