@@ -200,14 +200,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_commutant(args) -> int:
     rep = serialize.resolve_rep_spec(_spec(args, "rep", serialize.REP_KINDS))
-    comm = rep.commutant()
-    alg = rep.algebra(args.rank_tol)
     ctr = rep.center(args.rank_tol)
     _emit(args, "commutant", {
         "representation": rep.label,
         "dim": rep.dim,
-        "commutant_dim": comm.dim,
-        "algebra_dim": alg.dim,
+        "commutant_dim": rep.commutant_dim,
+        "algebra_dim": rep.algebra_dim,
         "center_dim": ctr.dim,
         "is_factor": ctr.dim == 1,
     })

@@ -10,14 +10,12 @@ Riesz vector.
 pair_certificate decides the commuting condition without forming either
 algebra.  sigma(G)'' lies in pi(G)' iff the generators commute, since a
 projective image is spanned by words in its generators; the two algebras
-are then equal iff their dimensions agree.  dim pi(G)' is
-|G|^-1 sum_g |tr pi(g)|^2, and dim sigma(G)'' is the rank of the
-Hilbert-Schmidt Gram tr(sigma(g)* sigma(h)), whose nonzero eigenvalues
-|G| m_i / d_i (sigma holding the mu-irreducible sigma_i of degree d_i with
-multiplicity m_i) are all at least sqrt|G|, so the rank cut at sqrt|G| / 2
-needs no tolerance.  is_commuting_pair takes its verdict and dimensions
-from the certificate and adds the principal-angle residual between the two
-algebras, which certify-pair and sweep reports carry.
+are then equal iff their dimensions agree.  Both dimensions are facts of
+the reps (ProjectiveRep.commutant_dim, the trace formula, and
+ProjectiveRep.algebra_dim, the rank of the Hilbert-Schmidt Gram read off
+its spectrum with a proven gap).  is_commuting_pair takes its verdict and
+dimensions from the certificate and adds the principal-angle residual
+between the two algebras, which certify-pair and sweep reports carry.
 
 For dual pairs, three biconditional clauses tie the two orbit
 classifications of one and the same vector together; the sweep machinery
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPairError, InvalidParameterError, NotProjectiveError
+from .errors import InvalidPairError, InvalidParameterError
 from .frames import (
     FLAG_TOL,
     FrameClassification,
@@ -155,17 +153,18 @@ def pair_certificate(pi: ProjectiveRep, sigma: ProjectiveRep,
     """Decide pi(G)' = sigma(G)'' from generators and characters.
 
     The pair passes when every generator commutator has no entry above tol
-    and dim pi(G)' = dim sigma(G)''.  Both reps must be projective unitary,
-    as the constructions and verify_rep ensure.  A trace formula for
-    dim pi(G)' farther than 1/4 from an integer raises NotProjectiveError.
+    and pi.commutant_dim = sigma.algebra_dim.  Both reps must be projective
+    unitary, as the constructions and verify_rep ensure.  A trace formula
+    for dim pi(G)' farther than 1/4 from an integer raises
+    NotProjectiveError.
     """
     if pi.dim != sigma.dim:
         raise InvalidParameterError(
             f"representations act on different spaces: {pi.dim} vs {sigma.dim}"
         )
     commutator = _generator_commutator(pi, sigma)
-    comm_dim = _commutant_dim(pi)
-    alg_dim = _algebra_dim(sigma)
+    comm_dim = pi.commutant_dim
+    alg_dim = sigma.algebra_dim
     return PairCertificate(commutator <= tol and comm_dim == alg_dim, commutator,
                            comm_dim, alg_dim)
 
@@ -197,47 +196,6 @@ def _generator_commutator(pi: ProjectiveRep, sigma: ProjectiveRep) -> float:
     resid = np.where(col_ab == col_ba, np.abs(val_ab - val_ba),
                      np.maximum(np.abs(val_ab), np.abs(val_ba)))
     return float(resid.max())
-
-
-def _characters(rep: ProjectiveRep) -> np.ndarray:
-    """tr pi(g) for every g: for a monomial rep the sum of phase[g, i] over
-    the fixed points perm[g, i] = i."""
-    if rep.perm is None:
-        return np.trace(rep.matrices, axis1=1, axis2=2)
-    return np.where(rep.perm == np.arange(rep.dim), rep.phase, 0.0).sum(axis=1)
-
-
-def _commutant_dim(rep: ProjectiveRep) -> int:
-    """dim pi(G)' = |G|^-1 sum_g |tr pi(g)|^2, the trace of the group
-    average (Schur: the sum of the squared multiplicities)."""
-    value = float(np.sum(np.abs(_characters(rep)) ** 2)) / rep.group.order
-    nearest = np.rint(value)
-    if not abs(value - nearest) <= 0.25:  # a NaN fails too
-        raise NotProjectiveError(
-            f"trace formula for the commutant of {rep.label} gives {value:.6f}, "
-            f"not an integer; the family is not projective unitary"
-        )
-    return int(nearest)
-
-
-def _algebra_dim(rep: ProjectiveRep) -> int:
-    """dim pi(G)'', the rank of the Hilbert-Schmidt Gram T[g, h] =
-    tr(pi(g)* pi(h)), counted as its eigenvalues above sqrt|G| / 2.
-
-    For a monomial rep, pi(g)* = conj mu(g^-1, g) pi(g^-1) gives
-    T[g, h] = conj mu(g^-1, g) mu(g^-1, h) tr pi(g^-1 h), from the
-    characters in O(|G|^2); a dense rep's Gram is formed from its stack.
-    """
-    n = rep.group.order
-    if rep.perm is None:
-        flat = rep.matrices.reshape(n, -1)
-        gram = flat.conj() @ flat.T
-    else:
-        inv, mu = rep.group.inverse, rep.multiplier
-        elements = np.arange(n)
-        gram = (mu.entries(inv, elements).conj()[:, None] * mu.entries(inv[:, None], elements)
-                * _characters(rep)[rep.group.cayley[inv]])
-    return int(np.count_nonzero(np.linalg.eigvalsh(gram) > np.sqrt(n) / 2))
 
 
 def is_commuting_pair(pi: ProjectiveRep, sigma: ProjectiveRep,
@@ -320,42 +278,54 @@ def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
 
 def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
                    rank_tol: float = RANK_TOL, flag_tol: float = FLAG_TOL,
-                   clauses: tuple[str, ...] = ALL_CLAUSES,
                    pair_tol: float = PAIR_TOL) -> DualityVerdict:
     """Classify one vector under both representations and compare the clause
     pattern the duality theorem asserts:
 
       frame_sequence        both orbits are frame sequences together
       frame_riesz           pi-orbit frames the whole space  <->  sigma-orbit Riesz
-      parseval_orthonormal  pi-orbit complete Parseval       <->  sigma-orbit orthonormal
+      parseval_orthonormal  pi-orbit complete Parseval       <->  sigma-orbit Gram
+                                                                  within flag_tol of c I
 
-    The last two clauses presuppose a dual pair.  A pair that is not even
-    commuting by pair_certificate at pair_tol raises InvalidPairError; no
-    operator algebra is formed.
+    with c = dim / |G_pi|, the squared norm of every complete Parseval
+    vector for pi (the trace of its frame operator, the identity, spread
+    over |G_pi| orbit vectors); by the Wexler-Raz relations the sigma-orbit
+    of such a vector is orthogonal with that norm.  Where |G_pi| = dim, as
+    for every dual pair over one index group, c = 1 and the sigma side is
+    classify's orthonormal flag.  The last two clauses presuppose a dual
+    pair.  A pair that is not even commuting by pair_certificate at
+    pair_tol raises InvalidPairError; no operator algebra is formed.
     """
-    unknown = set(clauses) - set(ALL_CLAUSES)
-    if unknown:
-        raise InvalidParameterError(f"unknown clauses: {sorted(unknown)}")
     if not pair_certificate(pi, sigma, pair_tol).is_pair:
         raise InvalidPairError("representations do not form a commuting pair")
     x = np.asarray(xi, dtype=complex).reshape(-1)
     pc = classify(pi, x, rank_tol, flag_tol)
     sc = classify(sigma, x, rank_tol, flag_tol)
-    results = _clause_results(pc, sc, clauses)
+    scale = pi.dim / pi.group.order
+    if scale == 1.0:
+        orthonormal = sc.is_orthonormal
+    else:
+        gram = gram_matrix(sigma, x)
+        orthonormal = sc.is_riesz_sequence and \
+            bool(np.abs(gram - scale * np.eye(sigma.group.order)).max() < flag_tol)
+    results = _clause_results(pc, sc, ALL_CLAUSES, orthonormal)
     return DualityVerdict(x, pc, sc, results, all(results.values()))
 
 
-def _clause_results(pc, sc, clauses: tuple[str, ...]) -> dict:
+def _clause_results(pc, sc, clauses: tuple[str, ...], orthonormal=None) -> dict:
     """The clause comparisons of verify_duality, for one vector's
-    FrameClassifications (bools) or a block's BlockClassifications (arrays)."""
+    FrameClassifications (bools) or a block's BlockClassifications (arrays).
+    orthonormal is the sigma side of parseval_orthonormal, sc.is_orthonormal
+    when None."""
+    if orthonormal is None:
+        orthonormal = sc.is_orthonormal
     results = {}
     if "frame_sequence" in clauses:
         results["frame_sequence"] = pc.is_frame_sequence == sc.is_frame_sequence
     if "frame_riesz" in clauses:
         results["frame_riesz"] = pc.is_complete_frame == sc.is_riesz_sequence
     if "parseval_orthonormal" in clauses:
-        results["parseval_orthonormal"] = \
-            (pc.is_complete_frame & pc.is_parseval) == sc.is_orthonormal
+        results["parseval_orthonormal"] = (pc.is_complete_frame & pc.is_parseval) == orthonormal
     return results
 
 
@@ -398,7 +368,10 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     frame/Riesz) when the index groups differ, as they do for adjoint Gabor
     pairs away from critical density, where a Parseval orbit on one side
     meets an orthogonal but not orthonormal orbit on the other; and only the
-    frame-sequence clause for commuting pairs that are not dual.  Draw i
+    frame-sequence clause for commuting pairs that are not dual.  A dual
+    pair over one index group has |G| = dim (a complete frame orbit needs
+    |G| >= dim, a Riesz orbit |G| <= dim), so the Parseval clause's sigma
+    side is the orthonormal flag, as verify_duality's is there.  Draw i
     always uses substream (seed, i).  The flags of each block of
     SWEEP_BLOCK vectors come from frames._orbit_flags under both
     representations, so a block that the rank certificate decides needs no

@@ -24,15 +24,17 @@ span decides both completeness (span = dim) and the Riesz property (span =
 |G|, impossible when |G| > dim).  The orthonormal flag stays the entrywise
 Gram test at the flag tolerance, run only on Riesz orbits.  classify_block
 does this for a block of vectors with one batched LAPACK call; classify is
-a block of one.  Callers that read flags only (sweeps, the
-frame-representation check, the Riesz search) go through _orbit_flags: a
-Cholesky certificate (linalg.full_rank_certificate) decides a block whose
-orbits all span min(dim, |G|) dimensions and none of which can be
-Parseval, from orbits gathered as phase * x[perm] when the representation
-is stored in monomial form, and any other block is classified as by
-classify_block.  Classification is scale-free: a row whose entries all lie
-below _SMALL is scaled up by a power of two before its orbit is formed, and
-its bounds back down by the square, both exact.
+a block of one.  Callers that read flags only (sweeps, the Riesz search)
+go through _orbit_flags: a Cholesky certificate
+(linalg.full_rank_certificate) decides a block whose orbits all span
+min(dim, |G|) dimensions and none of which can be Parseval, from orbits
+gathered as phase * x[perm] when the representation is stored in monomial
+form, and any other block is classified as by classify_block.
+Classification is scale-free: a row whose entries all lie below _SMALL is
+scaled up by a power of two before its orbit is formed, and its bounds back
+down by the square, both exact.  Whether any orbit is a complete frame is
+no draw: dilation reads ProjectiveRep.has_frame_vector, a law proved from
+the Gram spectrum of the representation.
 
 Two predicates are computed along two independent routes each: once through
 ranges of analysis operators and once through commutant orbits.  The two
@@ -63,7 +65,6 @@ from .linalg import (
     hermitian_eig,
     nonzero_mask,
     psd_power,
-    random_complex_block,
     random_complex_vector,
     rank_and_range,
     subspace_equal,
@@ -405,14 +406,6 @@ def pi_weakly_equivalent(rep: ProjectiveRep, x, y, tol: float = ROUTE_TOL,
     return _dual_route(rep, x, y, subspace_equal, tol, rank_tol)
 
 
-def is_frame_representation(rep: ProjectiveRep, seed: int = 0,
-                            rank_tol: float = RANK_TOL) -> bool:
-    """A representation admits a complete frame vector iff a generic orbit
-    spans; three seeded draws decide this reliably."""
-    draws = random_complex_block(seed, range(900_000, 900_003), rep.dim)
-    return bool(_orbit_flags(rep, draws, rank_tol).is_complete_frame.any())
-
-
 @dataclass(frozen=True)
 class DilationResult:
     """Certified output of dilate_to_complete.
@@ -443,7 +436,8 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     is certified to be a complete Parseval frame vector.  Every return
     is gated by explicit certification; randomness only affects how many
     tries that takes, and SearchExhaustedError means max_tries were not
-    enough.
+    enough.  A representation that has no complete frame vector
+    (ProjectiveRep.has_frame_vector) raises InvalidParameterError.
     """
     if mode not in ("frame", "parseval"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -452,7 +446,7 @@ def dilate_to_complete(rep: ProjectiveRep, eta, mode: str = "frame",
     x = np.asarray(eta, dtype=complex).reshape(-1)
     if not np.any(x):
         raise InvalidParameterError("eta must be nonzero")
-    if not is_frame_representation(rep, seed, rank_tol=rank_tol):
+    if not rep.has_frame_vector:
         raise InvalidParameterError(
             "representation admits no complete frame vector; dilation is impossible"
         )

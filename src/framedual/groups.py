@@ -97,7 +97,7 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return np.array_equal(self.cayley, other.cayley)
+        return self is other or np.array_equal(self.cayley, other.cayley)
 
     def __repr__(self):
         return f"FiniteGroup({self.label!r}, order={self.order})"

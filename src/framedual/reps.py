@@ -13,6 +13,16 @@ E(X) = |G|^-1 sum_g pi(g) X pi(g)* is the Hilbert-Schmidt-orthogonal
 projection onto the commutant pi(G)' (the cocycle phases cancel inside it);
 the generated algebra pi(G)'' is the span of the image; the center is the
 image of that span under E.
+
+Three facts about a representation need none of these spaces, and each has
+one formula, cached on the rep: its characters tr pi(g); dim pi(G)', the
+trace formula |G|^-1 sum_g |tr pi(g)|^2; and the spectrum of the |G| x |G|
+Hilbert-Schmidt Gram tr(pi(g)* pi(h)).  Writing pi as a sum of
+mu-irreducibles sigma_i of degree d_i with multiplicity m_i, the nonzero
+Gram eigenvalues are |G| m_i / d_i, each d_i^2 times (Schur orthogonality).
+So the Gram spectrum gives dim pi(G)'' (its rank) and whether pi has a
+complete frame vector (m_i <= d_i for all i, Han and Larson), each by a cut
+that a proven gap separates from every eigenvalue.
 """
 
 from __future__ import annotations
@@ -132,14 +142,87 @@ class ProjectiveRep:
         e = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(0, 2, 1, 3)
         return e.reshape(d * d, d * d) / n
 
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """tr pi(g) for every g; read-only.  For a monomial rep the sum of
+        phase[g, i] over the fixed points perm[g, i] = i, in O(|G| dim)."""
+        if self.perm is None:
+            chars = np.trace(self.matrices, axis1=1, axis2=2)
+        else:
+            chars = np.where(self.perm == np.arange(self.dim), self.phase, 0.0).sum(axis=1)
+        chars.setflags(write=False)
+        return chars
+
+    @cached_property
+    def commutant_dim(self) -> int:
+        """dim pi(G)' = |G|^-1 sum_g |tr pi(g)|^2, the trace of the group
+        average (Schur: the sum of the squared multiplicities).  A value
+        farther than 1/4 from an integer raises NotProjectiveError."""
+        value = float(np.sum(np.abs(self.characters) ** 2)) / self.group.order
+        nearest = np.rint(value)
+        if not abs(value - nearest) <= 0.25:  # a NaN fails too
+            raise NotProjectiveError(
+                f"trace formula for the commutant of {self.label} gives {value:.6f}, "
+                f"not an integer; the family is not projective unitary"
+            )
+        return int(nearest)
+
+    @cached_property
+    def _gram_spectrum(self) -> np.ndarray:
+        """The eigenvalues of the Hilbert-Schmidt Gram T[g, h] =
+        tr(pi(g)* pi(h)), less some of its zeros when dim^2 < |G|.
+
+        T = F F* for the |G| x dim^2 matrix F of flattened pi(g).  When
+        dim^2 < |G| (a rep far from faithful, such as a few characters of a
+        large cyclic group) the eigenvalues are those of the smaller F* F,
+        summed over the slabs of the stack.  Otherwise, for a monomial rep,
+        pi(g)* = conj mu(g^-1, g) pi(g^-1) gives
+        T[g, h] = conj mu(g^-1, g) mu(g^-1, h) tr pi(g^-1 h), from the
+        characters in O(|G|^2); a dense rep's Gram is formed from its stack.
+        """
+        n, d = self.group.order, self.dim
+        if d * d < n:
+            small = np.zeros((d * d, d * d), dtype=complex)
+            for _, slab in self.slabs():
+                flat = slab.reshape(len(slab), d * d)
+                small += flat.T @ flat.conj()
+            return np.linalg.eigvalsh(small)
+        if self.perm is None:
+            flat = self.matrices.reshape(n, -1)
+            gram = flat.conj() @ flat.T
+        else:
+            inv, mu = self.group.inverse, self.multiplier
+            elements = np.arange(n)
+            gram = (mu.entries(inv, elements).conj()[:, None] * mu.entries(inv[:, None], elements)
+                    * self.characters[self.group.cayley[inv]])
+        return np.linalg.eigvalsh(gram)
+
+    @property
+    def algebra_dim(self) -> int:
+        """dim pi(G)'', the rank of the Hilbert-Schmidt Gram, counted as its
+        eigenvalues above sqrt|G| / 2: the nonzero ones are |G| m_i / d_i
+        >= sqrt|G|, so the cut needs no tolerance."""
+        n = self.group.order
+        return int(np.count_nonzero(self._gram_spectrum > np.sqrt(n) / 2))
+
+    @property
+    def has_frame_vector(self) -> bool:
+        """Whether some orbit pi(g) x spans C^dim: iff every mu-irreducible
+        occurs with multiplicity m_i <= d_i (Han and Larson), that is iff
+        every Gram eigenvalue |G| m_i / d_i is at most |G|.  One above |G| is
+        at least |G| + |G| / d_i >= |G| + sqrt|G|, so the cut sits at
+        |G| + sqrt|G| / 2 and needs no tolerance."""
+        n = self.group.order
+        return bool(np.all(self._gram_spectrum < n + np.sqrt(n) / 2))
+
     def commutant(self) -> OperatorSubspace:
         """pi(G)', the range of the group average, computed once per rep.
 
         E is an orthogonal projection for every projective unitary family,
         so its eigenvalues are 0 or 1 and the cut sits at 1/2.  A family for
         which E is not self-adjoint, has an eigenvalue off {0, 1}, or keeps a
-        rank other than trace E = |G|^-1 sum_g |tr pi(g)|^2 is not projective
-        unitary, and raises NotProjectiveError.
+        rank other than commutant_dim is not projective unitary, and raises
+        NotProjectiveError.
         """
         return self._commutant
 
@@ -157,12 +240,10 @@ class ProjectiveRep:
                 f"{{0, 1}}); the family is not projective unitary"
             )
         keep = w > 0.5
-        traces = np.trace(self.matrices, axis1=1, axis2=2)
-        expected = float(np.sum(np.abs(traces) ** 2)) / self.group.order
-        if int(keep.sum()) != round(expected):
+        if int(keep.sum()) != self.commutant_dim:
             raise NotProjectiveError(
                 f"group average of {self.label} keeps {int(keep.sum())} dimensions "
-                f"but its trace is {expected:.6f}"
+                f"but the trace formula gives {self.commutant_dim}"
             )
         return OperatorSubspace(v[:, keep].T.reshape(-1, d, d), _owned=True)
 

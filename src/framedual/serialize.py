@@ -33,6 +33,7 @@ from .groups import (
     direct_product,
     from_cayley_table,
     heisenberg_multiplier,
+    time_frequency_multiplier,
     trivial_multiplier,
 )
 from .reps import (
@@ -234,7 +235,7 @@ def parse_group_spec(spec) -> FiniteGroup:
 
 def parse_multiplier_spec(group: FiniteGroup, spec) -> Multiplier:
     """Accept "trivial", "heisenberg" (square product groups only), or a
-    multiplier table document."""
+    multiplier table document.  The multiplier is defined on group itself."""
     if isinstance(spec, dict):
         return multiplier_from_json(group, spec)
     text = str(spec).strip().lower()
@@ -252,7 +253,9 @@ def parse_multiplier_spec(group: FiniteGroup, spec) -> Multiplier:
                 f"heisenberg multiplier lives on Z{root}xZ{root}, "
                 f"which differs from {group.label}"
             )
-        return mu
+        # the same exponents on the caller's group, so that facts cached on
+        # a group (its generating set) are computed once for both
+        return time_frequency_multiplier(group, mu.shift, mu.ramp, mu.modulus)
     raise InvalidParameterError(f"cannot parse multiplier spec {spec!r}")
 
 

@@ -5,7 +5,7 @@ flags-only route of sweeps (a rank certificate on gathered or dense orbits,
 eigh where it stands aside) against classify_block; and classification
 under power-of-two scaling."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -177,7 +177,8 @@ def test_orthonormal_implies_riesz_at_loose_flag_tolerance():
 
 
 def per_vector_sweep(pi, sigma, report, n_vectors, seed, flag_tol):
-    """The sweep as a loop of verify_duality over the same draws."""
+    """The sweep as a loop of verify_duality over the same draws, each
+    verdict cut down to the clauses the sweep selected."""
     tasks = [(f"random[{i}]", random_complex_vector(substream(seed, i), pi.dim))
              for i in range(n_vectors)] + adversarial_vectors(pi, seed)
     skipped, consistent, defect, counterexamples = 0, 0, 0.0, []
@@ -185,7 +186,10 @@ def per_vector_sweep(pi, sigma, report, n_vectors, seed, flag_tol):
         if np.linalg.norm(vec) == 0.0:
             skipped += 1
             continue
-        verdict = verify_duality(pi, sigma, vec, flag_tol=flag_tol, clauses=report.clauses)
+        verdict = verify_duality(pi, sigma, vec, flag_tol=flag_tol)
+        clause_results = {name: verdict.clause_results[name] for name in report.clauses}
+        verdict = replace(verdict, clause_results=clause_results,
+                          theorem_consistent=all(clause_results.values()))
         consistent += verdict.theorem_consistent
         if not verdict.theorem_consistent:
             counterexamples.append((source, verdict))

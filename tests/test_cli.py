@@ -28,6 +28,19 @@ def test_validate_heisenberg(tmp_path):
     assert doc["meta"]["tool"] == "framedual"
 
 
+def test_a_gabor_window_on_the_full_lattice_is_consistent(tmp_path):
+    # the orbit of e_0 under all 36 time-frequency shifts is a tight frame
+    # with bound 6, so not Parseval; its one adjoint vector is no multiple
+    # of sqrt(6 / 36): both sides of the Parseval clause are false
+    code, text = run(tmp_path, "gabor", "--lattice", "6,1,1", "--window", "1,0,0,0,0,0")
+    assert code == 0
+    verdict = json.loads(text)["result"]["window_verdict"]
+    assert verdict["theorem_consistent"] is True
+    assert verdict["clauses"] == {"frame_riesz": True, "frame_sequence": True,
+                                  "parseval_orthonormal": True}
+    assert verdict["sigma"]["is_orthonormal"] is True
+
+
 def test_validate_detects_broken_multiplier(tmp_path):
     g = cyclic_group(3)
     table = np.ones((3, 3), dtype=complex)

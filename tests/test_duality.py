@@ -12,12 +12,14 @@ from framedual import (
     cyclic_group,
     duality_sweep,
     from_cayley_table,
+    gram_matrix,
     heisenberg_multiplier,
     is_commuting_pair,
     left_regular,
     make_gabor_pair,
     make_regular_pair,
     make_regular_subpair,
+    parseval_normalize,
     trivial_multiplier,
     verify_duality,
 )
@@ -242,9 +244,31 @@ def test_gabor_full_lattice_duality_degenerates():
     assert report.n_inconsistent == 0
     rng = substream(21, 0)
     g = random_complex_vector(rng, 6)
-    verdict = verify_duality(pi, sigma, g, clauses=("frame_riesz",))
+    verdict = verify_duality(pi, sigma, g)
+    assert verdict.clause_results["frame_riesz"]
     assert verdict.pi_classification.is_complete_frame
     assert verdict.sigma_classification.is_riesz_sequence
+
+
+PARSEVAL_LATTICES = [(12, 3, 2), (8, 2, 2), (6, 1, 1), (16, 2, 2), (12, 2, 3), (24, 4, 3)]
+
+
+@pytest.mark.parametrize("lattice", PARSEVAL_LATTICES)
+def test_parseval_windows_satisfy_every_clause(lattice):
+    # a complete Parseval window has squared norm dim / |G_pi|, and its
+    # adjoint orbit is orthogonal with that norm (Wexler-Raz), not orthonormal
+    pi, sigma = make_gabor_pair(GaborLattice(*lattice))
+    window = parseval_normalize(pi, random_complex_vector(substream(31, 0), pi.dim))
+    verdict = verify_duality(pi, sigma, window)
+    assert verdict.pi_classification.is_complete_frame and verdict.pi_classification.is_parseval
+    assert verdict.clause_results == {"frame_sequence": True, "frame_riesz": True,
+                                      "parseval_orthonormal": True}
+    assert verdict.theorem_consistent
+    scale = pi.dim / pi.group.order
+    assert np.abs(gram_matrix(sigma, window) - scale * np.eye(sigma.group.order)).max() < 1e-13
+    # the reported sigma classification is classify's
+    assert verdict.sigma_classification == classify(sigma, window)
+    assert not verdict.sigma_classification.is_orthonormal
 
 
 def test_gabor_adjoint_roles_swap():

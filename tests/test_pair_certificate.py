@@ -250,7 +250,6 @@ def test_is_commuting_pair_reads_the_certificate(monkeypatch):
 
 def test_gram_eigenvalues_clear_the_cut():
     # nonzero eigenvalues are |G| m / d >= sqrt|G|; the cut sits at sqrt|G| / 2
-    from framedual.duality import _characters
     for rep in (left_regular(cyclic_group(12), trivial_multiplier(cyclic_group(12))),
                 gabor_rep(GaborLattice(12, 3, 2)), gabor_rep(GaborLattice(8, 1, 1))):
         g = rep.group
@@ -259,7 +258,7 @@ def test_gram_eigenvalues_clear_the_cut():
         nonzero = w[w > 1e-9]
         assert nonzero.min() >= np.sqrt(g.order) - 1e-9
         assert np.abs(w[w <= 1e-9]).max(initial=0.0) < 1e-9
-        np.testing.assert_allclose(_characters(rep), np.trace(rep.matrices, axis1=1, axis2=2),
+        np.testing.assert_allclose(rep.characters, np.trace(rep.matrices, axis1=1, axis2=2),
                                    atol=1e-14)
 
 

@@ -88,6 +88,30 @@ def test_parse_multiplier_spec():
         serialize.parse_multiplier_spec(cyclic_group(6), "unknown")
 
 
+def test_heisenberg_multiplier_lives_on_the_callers_group():
+    g = serialize.parse_group_spec("Z3xZ3")
+    mu = serialize.parse_multiplier_spec(g, "heisenberg")
+    assert mu.group is g
+    assert mu.table.tobytes() == heisenberg_multiplier(3).table.tobytes()
+
+
+def test_a_heisenberg_pair_computes_its_generating_set_once(monkeypatch, capsys):
+    import framedual.groups as groups_module
+    from framedual.cli import main
+    calls = []
+    word_depths = groups_module._word_depths
+
+    def counted(*args):
+        calls.append(args)
+        return word_depths(*args)
+
+    monkeypatch.setattr(groups_module, "_word_depths", counted)
+    assert main(["certify-pair", "--group", "Z4xZ4", "--multiplier", "heisenberg"]) == 0
+    # three breadth-first searches find {1, 2, 4, 8} on one group (six when
+    # the cocycle kept a group of its own)
+    assert len(calls) == 3
+
+
 def test_parse_lattice_spec():
     assert serialize.parse_lattice_spec("12,3,2") == GaborLattice(12, 3, 2)
     assert serialize.parse_lattice_spec([4, 1, 2]) == GaborLattice(4, 1, 2)
