@@ -36,7 +36,11 @@ from .errors import InvalidPairError, InvalidParameterError
 from .frames import (
     FLAG_TOL,
     FrameClassification,
+    _budget_rows,
     _orbit_flags,
+    _rep_orbits,
+    _scaled_block,
+    _scaled_flags,
     classify,
     classify_block,
     gram_matrix,
@@ -57,9 +61,13 @@ ALL_CLAUSES = ("frame_sequence", "frame_riesz", "parseval_orthonormal")
 _FRAME_SEARCH_BASE = 1_000_000
 _RIESZ_SEARCH_BASE = 2_000_000
 
-# Vectors a sweep classifies together.  Larger blocks gain little, and one
-# block for a whole 3000-draw sweep doubles the process's peak memory.
-SWEEP_BLOCK = 64
+# Bytes that any one array a sweep forms for a block may take: the orbits of
+# a block under either side, its draws, its Gram matrices.  A block holds as
+# many rows as fit on the side with the smaller group, and the other side
+# takes it in chunks (frames._scaled_flags).  288 KiB holds 64 rows of the
+# lattice side of Gabor (12,3,2), |G| = 24 on C^12; a budget far larger
+# gains little, and a sweep on a large pair holds no more than this.
+SWEEP_BYTES = 288 * 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -292,24 +300,42 @@ def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
     over |G_pi| orbit vectors); by the Wexler-Raz relations the sigma-orbit
     of such a vector is orthogonal with that norm.  Where |G_pi| = dim, as
     for every dual pair over one index group, c = 1 and the sigma side is
-    classify's orthonormal flag.  The last two clauses presuppose a dual
-    pair.  A pair that is not even commuting by pair_certificate at
-    pair_tol raises InvalidPairError; no operator algebra is formed.
+    classify's orthonormal flag.
+
+    The last two clauses presuppose a dual pair, so the verdict holds them
+    only when pi has a complete frame vector and sigma a Riesz vector
+    (_theorem_clauses).  The vector's own flags prove either existence when
+    they show one; only an existence they leave open is read from the law
+    (ProjectiveRep.has_frame_vector, has_riesz_vector).  A pair that is not
+    even commuting by pair_certificate at pair_tol raises InvalidPairError;
+    no operator algebra is formed.
     """
     if not pair_certificate(pi, sigma, pair_tol).is_pair:
         raise InvalidPairError("representations do not form a commuting pair")
     x = np.asarray(xi, dtype=complex).reshape(-1)
     pc = classify(pi, x, rank_tol, flag_tol)
     sc = classify(sigma, x, rank_tol, flag_tol)
+    dual = (pc.is_complete_frame or pi.has_frame_vector) and \
+        (sc.is_riesz_sequence or sigma.has_riesz_vector)
+    clauses = _theorem_clauses(dual, parseval=True)
+    orthonormal = None
     scale = pi.dim / pi.group.order
-    if scale == 1.0:
-        orthonormal = sc.is_orthonormal
-    else:
+    if "parseval_orthonormal" in clauses and scale != 1.0:
         gram = gram_matrix(sigma, x)
         orthonormal = sc.is_riesz_sequence and \
             bool(np.abs(gram - scale * np.eye(sigma.group.order)).max() < flag_tol)
-    results = _clause_results(pc, sc, ALL_CLAUSES, orthonormal)
+    results = _clause_results(pc, sc, clauses, orthonormal)
     return DualityVerdict(x, pc, sc, results, all(results.values()))
+
+
+def _theorem_clauses(dual: bool, parseval: bool) -> tuple[str, ...]:
+    """The clauses the duality theorem asserts for a commuting pair: only
+    frame_sequence unless the pair is dual (pi has a complete frame vector,
+    sigma a Riesz vector); for a dual pair frame_riesz too, and
+    parseval_orthonormal where the caller tests it (parseval)."""
+    if not dual:
+        return ("frame_sequence",)
+    return ALL_CLAUSES if parseval else ("frame_sequence", "frame_riesz")
 
 
 def _clause_results(pc, sc, clauses: tuple[str, ...], orthonormal=None) -> dict:
@@ -362,23 +388,29 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     set.
 
     The pair is certified once up front; a pair that is not even commuting
-    raises InvalidPairError.  Clause selection follows what is actually a
-    theorem for the pair at hand: all three clauses for a certified dual
-    pair over one index group; only the scale-free clauses (frame sequence,
-    frame/Riesz) when the index groups differ, as they do for adjoint Gabor
-    pairs away from critical density, where a Parseval orbit on one side
-    meets an orthogonal but not orthonormal orbit on the other; and only the
-    frame-sequence clause for commuting pairs that are not dual.  A dual
-    pair over one index group has |G| = dim (a complete frame orbit needs
-    |G| >= dim, a Riesz orbit |G| <= dim), so the Parseval clause's sigma
-    side is the orthonormal flag, as verify_duality's is there.  Draw i
-    always uses substream (seed, i).  The flags of each block of
-    SWEEP_BLOCK vectors come from frames._orbit_flags under both
-    representations, so a block that the rank certificate decides needs no
-    eigendecomposition; the arrays it works in are kept for the blocks of
-    this call only.  An inconsistent vector's counterexample carries its
-    rows of classify_block run on the inconsistent vectors of its block
-    alone: the flags are the same, and the bounds those of classify.
+    raises InvalidPairError.  Clause selection (_theorem_clauses, as for
+    verify_duality) follows what is actually a theorem for the pair at hand:
+    all three clauses for a certified dual pair over one index group; only
+    the scale-free clauses (frame sequence, frame/Riesz) when the index
+    groups differ, as they do for adjoint Gabor pairs away from critical
+    density, where a Parseval orbit on one side meets an orthogonal but not
+    orthonormal orbit on the other; and only the frame-sequence clause for
+    commuting pairs that are not dual.  A dual pair over one index group has
+    |G| = dim (a complete frame orbit needs |G| >= dim, a Riesz orbit
+    |G| <= dim), so the Parseval clause's sigma side is the orthonormal
+    flag, as verify_duality's is there.  Draw i always uses substream
+    (seed, i).
+
+    Vectors go in blocks of as many rows as SWEEP_BYTES holds orbits of on
+    the side with the smaller group; each block is checked and scaled once,
+    and its flags come from frames._scaled_flags under both
+    representations, each in chunks whose orbits fit SWEEP_BYTES, so a
+    chunk that the rank certificate decides needs no eigendecomposition and
+    no array a block forms outgrows the budget.  The arrays the chunks work
+    in are kept for this call only.  An inconsistent vector's counterexample
+    carries its rows of classify_block run on the inconsistent vectors of
+    its block alone: the flags are the same, and the bounds those of
+    classify.  No flag, count or bound depends on the budget.
     """
     if n_vectors < 0:
         raise InvalidParameterError(f"number of random draws must be >= 0, got {n_vectors}")
@@ -388,52 +420,55 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
         raise InvalidPairError(
             f"not a commuting pair (residual {certificate.commuting.residual:.3e})"
         )
-    if not certificate.feasible:
-        clauses: tuple[str, ...] = ("frame_sequence",)
-    elif pi.group == sigma.group:
-        clauses = ALL_CLAUSES
-    else:
-        clauses = ("frame_sequence", "frame_riesz")
+    clauses = _theorem_clauses(certificate.feasible, parseval=pi.group == sigma.group)
 
     adversarial = adversarial_vectors(pi, seed, rank_tol=rank_tol)
+    size = _budget_rows(SWEEP_BYTES, min(pi.group.order, sigma.group.order), pi.dim)
 
     def blocks():
-        for start in range(0, n_vectors, SWEEP_BLOCK):
-            rows = range(start, min(start + SWEEP_BLOCK, n_vectors))
-            yield [f"random[{i}]" for i in rows], random_complex_block(seed, rows, pi.dim)
-        for start in range(0, len(adversarial), SWEEP_BLOCK):
-            chunk = adversarial[start:start + SWEEP_BLOCK]
-            yield [source for source, _ in chunk], np.stack([vec for _, vec in chunk])
+        """(source of row k, block) for the random draws, then the adversarial set."""
+        for start in range(0, n_vectors, size):
+            rows = range(start, min(start + size, n_vectors))
+            yield (lambda k, start=start: f"random[{start + k}]"), \
+                random_complex_block(seed, rows, pi.dim)
+        for start in range(0, len(adversarial), size):
+            chunk = adversarial[start:start + size]
+            yield [source for source, _ in chunk].__getitem__, \
+                np.stack([vec for _, vec in chunk])
 
     n_skipped = n_consistent = n_inconsistent = 0
     gram_defect = 0.0
     counterexamples: list[SweepCounterexample] = []
     scratch: dict = {}
-    for sources, block in blocks():
-        nonzero = (block != 0).any(axis=1)
-        n_skipped += int(np.count_nonzero(~nonzero))
-        block = block[nonzero]
-        sources = [source for source, keep in zip(sources, nonzero) if keep]
-        pc = _orbit_flags(pi, block, rank_tol, flag_tol, scratch)
-        sc = _orbit_flags(sigma, block, rank_tol, flag_tol, scratch)
+    for source, block in blocks():
+        kept = np.flatnonzero((block != 0).any(axis=1))
+        if len(kept) < len(block):
+            n_skipped += len(block) - len(kept)
+            block = block[kept]
+        scaled, shift = _scaled_block(pi, block)
+        pc = _scaled_flags(pi, scaled, shift, rank_tol, flag_tol, scratch, SWEEP_BYTES)
+        sc = _scaled_flags(sigma, scaled, shift, rank_tol, flag_tol, scratch, SWEEP_BYTES)
         results = _clause_results(pc, sc, clauses)
         consistent = np.all(list(results.values()), axis=0)
         n_consistent += int(np.count_nonzero(consistent))
         n_inconsistent += int(np.count_nonzero(~consistent))
         if "parseval_orthonormal" in clauses:
-            for k in np.flatnonzero(pc.is_complete_frame & pc.is_parseval):
-                gram = gram_matrix(sigma, block[k])
+            parseval = np.flatnonzero(pc.is_complete_frame & pc.is_parseval)
+            if parseval.size:
+                # one group on both sides: the block's rows fit the budget
+                orbits = _rep_orbits(sigma, block[parseval])
+                gram = orbits.conj() @ orbits.swapaxes(1, 2)
                 gram_defect = max(gram_defect,
                                   float(np.abs(gram - np.eye(sigma.group.order)).max()))
         bad = np.flatnonzero(~consistent)
         if bad.size:
-            pc_bad = classify_block(pi, block[bad], rank_tol, flag_tol)
-            sc_bad = classify_block(sigma, block[bad], rank_tol, flag_tol)
+            pc_bad = _classified_rows(pi, block[bad], rank_tol, flag_tol)
+            sc_bad = _classified_rows(sigma, block[bad], rank_tol, flag_tol)
             for j, k in enumerate(bad):
                 clause_row = {name: bool(row[k]) for name, row in results.items()}
-                verdict = DualityVerdict(block[k], pc_bad.row(j), sc_bad.row(j), clause_row,
-                                         False)
-                counterexamples.append(SweepCounterexample(sources[k], verdict.vector, verdict))
+                verdict = DualityVerdict(block[k], pc_bad[j], sc_bad[j], clause_row, False)
+                counterexamples.append(SweepCounterexample(source(int(kept[k])),
+                                                           verdict.vector, verdict))
 
     return SweepReport(
         label=label or f"{pi.label} / {sigma.label}",
@@ -451,6 +486,18 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
         flag_tolerance=flag_tol,
         counterexamples=counterexamples,
     )
+
+
+def _classified_rows(rep: ProjectiveRep, rows: np.ndarray, rank_tol: float,
+                     flag_tol: float) -> list[FrameClassification]:
+    """classify_block's classification of each of rows, formed in chunks
+    whose orbits fit SWEEP_BYTES."""
+    size = _budget_rows(SWEEP_BYTES, rep.group.order, rep.dim)
+    out = []
+    for start in range(0, len(rows), size):
+        classified = classify_block(rep, rows[start:start + size], rank_tol, flag_tol)
+        out.extend(classified.row(j) for j in range(len(classified.orbit_span_dim)))
+    return out
 
 
 def make_regular_pair(group: FiniteGroup, mu: Multiplier) -> tuple[ProjectiveRep, ProjectiveRep]:

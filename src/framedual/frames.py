@@ -25,11 +25,14 @@ span decides both completeness (span = dim) and the Riesz property (span =
 Gram test at the flag tolerance, run only on Riesz orbits.  classify_block
 does this for a block of vectors with one batched LAPACK call; classify is
 a block of one.  Callers that read flags only (sweeps, the Riesz search)
-go through _orbit_flags: a Cholesky certificate
-(linalg.full_rank_certificate) decides a block whose orbits all span
-min(dim, |G|) dimensions and none of which can be Parseval, from orbits
+go through _orbit_flags, or, for a sweep, through _scaled_flags, which
+takes a block in chunks whose orbits fit a byte budget (a sweep's
+SWEEP_BYTES), so the rows a chunk holds shrink as |G| dim grows.  A
+Cholesky certificate (linalg.full_rank_certificate) decides a chunk whose
+orbits all span min(dim, |G|) dimensions and none of which can be Parseval, from orbits
 gathered as phase * x[perm] when the representation is stored in monomial
-form, and any other block is classified as by classify_block.
+form, and any other chunk is classified as by classify_block.  Every flag
+is proved or classify_block's, so none depends on the chunks.
 Classification is scale-free: a row whose entries all lie below _SMALL is
 scaled up by a power of two before its orbit is formed, and its bounds back
 down by the square, both exact.  Whether any orbit is a complete frame is
@@ -283,11 +286,53 @@ class OrbitFlags:
 
 
 def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
-                 flag_tol: float = FLAG_TOL, scratch: dict | None = None) -> OrbitFlags:
+                 flag_tol: float = FLAG_TOL) -> OrbitFlags:
     """classify_block's flags for the rows of xs (shape (k, dim)), decided
-    without an eigendecomposition where a certificate can.
+    without an eigendecomposition where a certificate can: _scaled_flags on
+    the block as _scaled_block checks and scales it, in one chunk."""
+    return _scaled_flags(rep, *_scaled_block(rep, xs), rank_tol, flag_tol)
 
-    The certificate runs on the orbits of the block: for a representation
+
+def _budget_rows(budget: int, order: int, dim: int) -> int:
+    """The rows whose orbits under a group of the given order, (rows, order,
+    dim) complex, fit in budget bytes; at least one."""
+    return max(1, budget // (16 * order * dim))
+
+
+def _scaled_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray,
+                  rank_tol: float = RANK_TOL, flag_tol: float = FLAG_TOL,
+                  scratch: dict | None = None, budget: int | None = None) -> OrbitFlags:
+    """_orbit_flags on a block that _scaled_block has checked and scaled by
+    2^shift, taken in chunks of _budget_rows(budget, |G|, dim) rows (the
+    whole block when budget is None), so that no orbit array a chunk forms
+    exceeds budget bytes.
+
+    Each chunk is decided on its own, by a certificate or as classify_block
+    does; every row's flags are either proved or classify_block's, so they
+    do not depend on the chunks.  scratch, a dict the caller keeps for one
+    sweep, lends the gathered orbits and the certificate's product arrays
+    that later chunks reuse: fresh arrays of that size cost page faults on
+    every chunk.
+    """
+    n, d = rep.group.order, rep.dim
+    rows = len(block) if budget is None else _budget_rows(budget, n, d)
+    if rows >= len(block):
+        return _chunk_flags(rep, block, shift, rank_tol, flag_tol, scratch)
+    names = [f.name for f in fields(OrbitFlags)]
+    out = {name: np.empty(len(block), dtype=bool) for name in names}
+    for start in range(0, len(block), rows):
+        part = slice(start, start + rows)
+        flags = _chunk_flags(rep, block[part], shift[part], rank_tol, flag_tol, scratch)
+        for name in names:
+            out[name][part] = getattr(flags, name)
+    return OrbitFlags(**out)
+
+
+def _chunk_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray, rank_tol: float,
+                 flag_tol: float, scratch: dict | None) -> OrbitFlags:
+    """The flags of one chunk of _scaled_flags.
+
+    The certificate runs on the orbits of the chunk: for a representation
     stored in monomial form, gathered as phase * x[perm], else the dense
     orbits classify_block forms.  When
     linalg.full_rank_certificate holds for them (conjugate analysis
@@ -298,15 +343,10 @@ def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
     trace lies farther than m flag_tol + slack from m, no row is Parseval
     (its m nonzero eigenvalues would lie within flag_tol of 1) and none is
     orthonormal (its Gram diagonal would, and Riesz means m = |G|).  Any
-    other block, and one whose orbit overflows, is classified as
+    other chunk, and one whose orbit overflows, is classified as
     classify_block does, from the dense orbits, so every flag is either
     proved or classify_block's, bit for bit.
-
-    scratch, a dict the caller keeps for one sweep, lends the gathered
-    orbits and the certificate's product arrays that later blocks reuse:
-    fresh arrays of that size cost page faults on every block.
     """
-    block, shift = _scaled_block(rep, xs)
     n, d = rep.group.order, rep.dim
     m = min(n, d)
     if rep.perm is None:

@@ -20,9 +20,10 @@ trace formula |G|^-1 sum_g |tr pi(g)|^2; and the spectrum of the |G| x |G|
 Hilbert-Schmidt Gram tr(pi(g)* pi(h)).  Writing pi as a sum of
 mu-irreducibles sigma_i of degree d_i with multiplicity m_i, the nonzero
 Gram eigenvalues are |G| m_i / d_i, each d_i^2 times (Schur orthogonality).
-So the Gram spectrum gives dim pi(G)'' (its rank) and whether pi has a
-complete frame vector (m_i <= d_i for all i, Han and Larson), each by a cut
-that a proven gap separates from every eigenvalue.
+So the Gram spectrum gives dim pi(G)'' (its rank), whether pi has a
+complete frame vector (m_i <= d_i for all i) and whether it has a Riesz
+vector (m_i >= d_i for all i), the existence law of Han and Larson, each by
+a cut that a proven gap separates from every eigenvalue.
 """
 
 from __future__ import annotations
@@ -214,6 +215,18 @@ class ProjectiveRep:
         |G| + sqrt|G| / 2 and needs no tolerance."""
         n = self.group.order
         return bool(np.all(self._gram_spectrum < n + np.sqrt(n) / 2))
+
+    @property
+    def has_riesz_vector(self) -> bool:
+        """Whether some orbit pi(g) x is a Riesz sequence: iff every
+        mu-irreducible occurs with multiplicity m_i >= d_i, that is iff all
+        |G| Gram eigenvalues are |G| m_i / d_i >= |G| (the Gram has full rank
+        only when every irreducible occurs).  Never when |G| > dim.  An
+        eigenvalue below |G| is zero or at most |G| - |G| / d_i <=
+        |G| - sqrt|G|, so the cut sits at |G| - sqrt|G| / 2 and needs no
+        tolerance."""
+        n = self.group.order
+        return n <= self.dim and bool(self._gram_spectrum.min() > n - np.sqrt(n) / 2)
 
     def commutant(self) -> OperatorSubspace:
         """pi(G)', the range of the group average, computed once per rep.

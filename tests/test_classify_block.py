@@ -5,6 +5,7 @@ flags-only route of sweeps (a rank certificate on gathered or dense orbits,
 eigh where it stands aside) against classify_block; and classification
 under power-of-two scaling."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from framedual import (
     FrameClassification,
     GaborLattice,
     InvalidParameterError,
+    ProjectiveRep,
     adjoint_lattice,
     character_subrep,
     classify,
@@ -31,6 +33,7 @@ from framedual import (
     make_regular_pair,
     make_regular_subpair,
     right_regular,
+    serialize,
     trivial_multiplier,
     verify_duality,
 )
@@ -46,6 +49,7 @@ from framedual.frames import (
     _orbit_flags,
     _orbits,
     _scaled_block,
+    _scaled_flags,
     analysis_op,
     parseval_normalize,
 )
@@ -210,7 +214,7 @@ def per_vector_sweep(pi, sigma, report, n_vectors, seed, flag_tol):
 ])
 def test_sweep_blocks_match_per_vector_verdicts(pair, flag_tol):
     pi, sigma = pair
-    n_vectors = 150  # two full blocks and a partial one
+    n_vectors = 150  # two full blocks of the Gabor pair's 64 rows and a partial one
     report = duality_sweep(pi, sigma, n_vectors=n_vectors, seed=11, flag_tol=flag_tol)
     skipped, consistent, inconsistent, defect, counterexamples = \
         per_vector_sweep(pi, sigma, report, n_vectors, 11, flag_tol)
@@ -315,20 +319,39 @@ def test_sweep_runs_eigh_only_on_the_adversarial_block_and_the_searches(monkeypa
     assert calls == without_draws
 
 
-def test_counterexample_rows_of_a_certified_block_are_classify_rows(monkeypatch):
-    # force two counterexamples in each full block of draws; the block itself
-    # is decided by the certificate, so only the two rows meet classify_block
-    lam, rho = FIXED_REPS[0], FIXED_REPS[1]
+def forcing_failures(monkeypatch, forced) -> list:
+    """Make a sweep's frame_sequence clause fail on the random draws whose
+    indices are in forced, whatever blocks they fall in; the returned list
+    collects the draw indices of each block of random draws."""
     clause_results = duality_module._clause_results
-    forced = [5, 40]
+    draw_block = duality_module.random_complex_block
+    random_blocks = []
+    current = []  # the draw indices of the block being decided, if random
+
+    def recorded_draws(seed, rows, n):
+        random_blocks.append(rows)
+        current[:] = [rows]
+        return draw_block(seed, rows, n)
 
     def with_forced_failures(pc, sc, clauses):
         results = clause_results(pc, sc, clauses)
-        if len(results["frame_sequence"]) == duality_module.SWEEP_BLOCK:
-            results["frame_sequence"] = results["frame_sequence"].copy()
-            results["frame_sequence"][forced] = False
+        if current:
+            results["frame_sequence"] = results["frame_sequence"] & \
+                ~np.isin(current.pop(), forced)
         return results
 
+    monkeypatch.setattr(duality_module, "random_complex_block", recorded_draws)
+    monkeypatch.setattr(duality_module, "_clause_results", with_forced_failures)
+    return random_blocks
+
+
+def test_counterexample_rows_of_a_certified_block_are_classify_rows(monkeypatch):
+    # force two counterexamples among the blocks of random draws; each block
+    # itself is decided by the certificate, so only the two rows meet
+    # classify_block
+    lam, rho = FIXED_REPS[0], FIXED_REPS[1]
+    forced = [5, 40]
+    random_blocks = forcing_failures(monkeypatch, forced)
     blocks_classified = []
     classify_orbits = frames_module._classify_orbits
 
@@ -336,13 +359,12 @@ def test_counterexample_rows_of_a_certified_block_are_classify_rows(monkeypatch)
         blocks_classified.append(len(orbits))
         return classify_orbits(rep, orbits, *args)
 
-    monkeypatch.setattr(duality_module, "_clause_results", with_forced_failures)
     monkeypatch.setattr(frames_module, "_classify_orbits", recorded)
     report = duality_sweep(lam, rho, n_vectors=100, seed=6)
     assert [ce.source for ce in report.counterexamples] == ["random[5]", "random[40]"]
     # the pi and sigma rows of the two counterexamples
     assert blocks_classified.count(len(forced)) == 2
-    assert duality_module.SWEEP_BLOCK not in blocks_classified
+    assert not {len(rows) for rows in random_blocks} & set(blocks_classified)
     draws = np.stack([random_complex_vector(substream(6, i), 8) for i in range(64)])
     for ce, k in zip(report.counterexamples, forced):
         assert ce.vector.tobytes() == draws[k].tobytes()
@@ -467,3 +489,81 @@ def test_tiny_vectors_keep_their_orbit():
     flags = _orbit_flags(z8, xs, flag_tol=2.0)
     for f in fields(OrbitFlags):
         np.testing.assert_array_equal(getattr(flags, f.name), getattr(reference, f.name))
+
+
+# --- the byte budget of sweeps -------------------------------------------------
+
+DEFAULT_BUDGET = duality_module.SWEEP_BYTES
+
+
+def dense_copy(rep):
+    """rep stored as a dense stack, as a custom bundle is."""
+    return ProjectiveRep(rep.group, rep.multiplier, rep.matrices, label=f"dense {rep.label}")
+
+
+BUDGET_PAIRS = {
+    "regular Z4": lambda: make_regular_pair(cyclic_group(4), trivial_multiplier(cyclic_group(4))),
+    "heisenberg Z3xZ3": lambda: make_regular_pair(heisenberg_multiplier(3).group,
+                                                  heisenberg_multiplier(3)),
+    "gabor (12,3,2)": lambda: make_gabor_pair(GaborLattice(12, 3, 2)),
+    "dense regular Z6": lambda: tuple(dense_copy(rep) for rep in make_regular_pair(
+        cyclic_group(6), trivial_multiplier(cyclic_group(6)))),
+}
+
+
+@pytest.mark.parametrize("name, flag_tol, forced", [
+    (name, FLAG_TOL, [3, 50]) for name in BUDGET_PAIRS
+] + [("regular Z4", 2.0, []), ("heisenberg Z3xZ3", 0.5, [])])
+def test_sweep_reports_do_not_depend_on_the_budget(name, flag_tol, forced, monkeypatch):
+    pi, sigma = BUDGET_PAIRS[name]()
+    forcing_failures(monkeypatch, forced)
+    reports = []
+    for budget in (1, DEFAULT_BUDGET, 2 ** 40):
+        monkeypatch.setattr(duality_module, "SWEEP_BYTES", budget)
+        report = duality_sweep(pi, sigma, n_vectors=90, seed=8, flag_tol=flag_tol)
+        reports.append(json.dumps(serialize.report_to_json(report)))
+    assert reports[1:] == reports[:1] * 2
+    assert report.n_skipped == 1  # the adversarial zero vector
+    assert report.n_inconsistent > 0
+    assert {f"random[{k}]" for k in forced} <= {ce.source for ce in report.counterexamples}
+
+
+def test_orbit_flags_in_chunks_are_classify_flags():
+    # chunks of three rows: random draws, which the certificate decides,
+    # beside projected draws, Parseval basis vectors, a tiny row and the
+    # zero vector, which it hands to classify_block
+    for rep in FIXED_REPS:
+        xs = np.concatenate([probe_vectors(rep, 4), probe_vectors(rep, 5)[:2] * 2.0 ** -700])
+        budget = 3 * 16 * rep.group.order * rep.dim
+        flags = _scaled_flags(rep, *_scaled_block(rep, xs), budget=budget)
+        reference = classify_block(rep, xs)
+        for f in fields(OrbitFlags):
+            np.testing.assert_array_equal(getattr(flags, f.name), getattr(reference, f.name),
+                                          err_msg=f"{rep.label} {f.name}")
+
+
+def test_no_array_of_a_large_sweep_outgrows_the_budget(monkeypatch):
+    # Gabor (16,1,1): 256 elements on C^16, so 64 rows of orbits take 4 MiB;
+    # the pi side goes four rows at a time, the one-element sigma side in
+    # blocks of 1152
+    pi, sigma = make_gabor_pair(GaborLattice(16, 1, 1))
+    sizes = []
+
+    def spy(module, name, arrays):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            sizes.extend(a.nbytes for a in arrays(args, kwargs, out))
+            return out
+        monkeypatch.setattr(module, name, recorded)
+
+    spy(frames_module, "full_rank_certificate",
+        lambda args, kwargs, out: [args[0], kwargs["out"]])
+    spy(frames_module, "_classify_orbits", lambda args, kwargs, out: [args[1]])
+    spy(duality_module, "random_complex_block", lambda args, kwargs, out: [out])
+    spy(duality_module, "_rep_orbits", lambda args, kwargs, out: [out])
+    report = duality_sweep(pi, sigma, n_vectors=300, seed=2)
+    assert report.n_inconsistent == 0
+    assert len(sizes) > 100
+    assert max(sizes) <= DEFAULT_BUDGET

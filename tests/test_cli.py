@@ -28,6 +28,31 @@ def test_validate_heisenberg(tmp_path):
     assert doc["meta"]["tool"] == "framedual"
 
 
+def test_verify_duality_on_a_pair_that_is_not_dual_is_consistent(tmp_path):
+    # regular Z4 cut to two Fourier modes: 4 group elements on C^2, so sigma
+    # has no Riesz vector; the verdict asserts only the frame-sequence clause
+    from framedual import make_regular_subpair, parseval_normalize, trivial_multiplier
+    from framedual.linalg import dft_matrix
+
+    g = cyclic_group(4)
+    f = dft_matrix(4)[:, :2]
+    pi, sigma = make_regular_subpair(g, trivial_multiplier(g), f @ f.conj().T)
+    paths = {}
+    for side, rep in (("pi", pi), ("sigma", sigma)):
+        paths[side] = tmp_path / f"{side}.json"
+        paths[side].write_text(json.dumps(serialize.rep_to_json(rep)))
+    x = parseval_normalize(pi, np.array([1.0, 0.5j]))
+    code, text = run(tmp_path, "verify-duality", "--pair", "custom",
+                     "--pi-json", str(paths["pi"]), "--sigma-json", str(paths["sigma"]),
+                     "--vector", ",".join(repr(complex(v)) for v in x))
+    assert code == 0
+    verdict = json.loads(text)["result"]["verdict"]
+    assert verdict["pi"]["is_complete_frame"] and verdict["pi"]["is_parseval"]
+    assert not verdict["sigma"]["is_riesz_sequence"]
+    assert verdict["clauses"] == {"frame_sequence": True}
+    assert verdict["theorem_consistent"] is True
+
+
 def test_a_gabor_window_on_the_full_lattice_is_consistent(tmp_path):
     # the orbit of e_0 under all 36 time-frequency shifts is a tight frame
     # with bound 6, so not Parseval; its one adjoint vector is no multiple

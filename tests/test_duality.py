@@ -154,7 +154,8 @@ def test_verify_duality_rejects_non_commuting_pair():
 
 def test_verify_duality_clause_failure_on_non_dual_pair():
     # a commuting pair without the Riesz hypothesis can break the frame/Riesz
-    # clause; this is exactly why the sweep only asserts it for dual pairs
+    # clause; this is exactly why a verdict, like a sweep, asserts it only
+    # for dual pairs
     g = cyclic_group(6)
     mu = trivial_multiplier(g)
     f = dft_matrix(6)
@@ -165,8 +166,9 @@ def test_verify_duality_clause_failure_on_non_dual_pair():
     verdict = verify_duality(pi, sigma, xi)
     assert verdict.pi_classification.is_complete_frame
     assert not verdict.sigma_classification.is_riesz_sequence
-    assert verdict.clause_results["frame_riesz"] is False
-    assert verdict.clause_results["frame_sequence"] is True
+    assert not sigma.has_riesz_vector
+    assert verdict.clause_results == {"frame_sequence": True}
+    assert verdict.theorem_consistent
 
 
 def test_sweep_regular_pair_consistent():

@@ -1,8 +1,8 @@
 """The facts a ProjectiveRep reads from its characters and its Hilbert-Schmidt
 Gram spectrum, held against the routes they replaced: commutant_dim against
 the rank of the group average and the Sylvester commutant, algebra_dim
-against the span of the image, and has_frame_vector against three seeded
-draws classified by their orbit flags."""
+against the span of the image, and has_frame_vector and has_riesz_vector
+against three seeded draws classified by their orbit flags."""
 
 from math import gcd
 
@@ -41,12 +41,20 @@ def drawn_frame_vector(rep, seed: int = 0, rank_tol: float = RANK_TOL) -> bool:
     return bool(_orbit_flags(rep, draws, rank_tol).is_complete_frame.any())
 
 
+def drawn_riesz_vector(rep, seed: int = 0, rank_tol: float = RANK_TOL) -> bool:
+    """A Riesz vector exists iff a generic orbit is a Riesz sequence, tried
+    on three seeded draws."""
+    draws = random_complex_block(seed, range(900_003, 900_006), rep.dim)
+    return bool(_orbit_flags(rep, draws, rank_tol).is_riesz_sequence.any())
+
+
 def assert_facts_match_oracles(rep, sylvester: bool = True):
     assert rep.commutant_dim == rep.commutant().dim
     if sylvester:
         assert rep.commutant_dim == commutant(rep.matrices).dim
     assert rep.algebra_dim == rep.algebra().dim
     assert rep.has_frame_vector == drawn_frame_vector(rep)
+    assert rep.has_riesz_vector == drawn_riesz_vector(rep)
 
 
 def direct_sum(*reps):
@@ -93,7 +101,8 @@ sides = st.sampled_from(["left", "right"])
 def test_time_frequency_regular_reps(orders, s, r, side):
     rep = tf_regular(*orders, s, r, side)
     assert_facts_match_oracles(rep, sylvester=rep.dim <= 9)
-    assert rep.has_frame_vector  # a regular rep holds each irreducible d_i times
+    # a regular rep holds each irreducible d_i times
+    assert rep.has_frame_vector and rep.has_riesz_vector
 
 
 @settings(max_examples=10, deadline=None)
@@ -133,8 +142,10 @@ def test_character_multisets(n, data):
     freqs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2))
     rep = character_multiset(n, freqs)
     assert_facts_match_oracles(rep)
-    # each character is an irreducible of degree 1: a frame vector iff none repeats
+    # each character is an irreducible of degree 1: a frame vector iff none
+    # repeats, a Riesz vector iff every one of the n occurs
     assert rep.has_frame_vector == (len(set(freqs)) == len(freqs))
+    assert rep.has_riesz_vector == (len(set(freqs)) == n)
 
 
 def d5():
@@ -168,6 +179,17 @@ def test_dense_sums_and_deficient_reps(name):
     assert rep.has_frame_vector == frame_vector
 
 
+@pytest.mark.parametrize("rep, frame, riesz", [
+    # each irreducible twice: m = 2 > d = 1
+    (DENSE_SUMS["lambda_Z4 + lambda_Z4"][0](), False, True),
+    # |G| = 4 > dim = 2
+    (character_multiset(4, [0, 1]), True, False),
+], ids=["lambda_Z4 + lambda_Z4", "two characters of Z4"])
+def test_existence_law_has_two_halves(rep, frame, riesz):
+    assert (rep.has_frame_vector, rep.has_riesz_vector) == (frame, riesz)
+    assert (drawn_frame_vector(rep), drawn_riesz_vector(rep)) == (frame, riesz)
+
+
 def test_dilate_refuses_a_rep_without_frame_vector():
     rep = DENSE_SUMS["lambda_Z4 + lambda_Z4"][0]()
     x = np.zeros(rep.dim, dtype=complex)
@@ -177,7 +199,8 @@ def test_dilate_refuses_a_rep_without_frame_vector():
 
 
 def test_gram_spectrum_has_the_proven_gaps():
-    # eigenvalues |G| m / d: zero, at least sqrt|G|, and none in (|G|, |G| + sqrt|G|)
+    # eigenvalues |G| m / d: zero, at least sqrt|G|, and none in
+    # (|G| - sqrt|G|, |G|) or (|G|, |G| + sqrt|G|)
     for rep in (DENSE_SUMS["lambda_D5 + lambda_D5"][0](), DENSE_SUMS["gabor(12,6,4)"][0](),
                 character_multiset(6, [0, 0, 1, 2, 2, 2])):
         n = rep.group.order
@@ -186,6 +209,7 @@ def test_gram_spectrum_has_the_proven_gaps():
         assert np.abs(w[w <= np.sqrt(n) / 2]).max(initial=0.0) < 1e-9
         assert nonzero.min() >= np.sqrt(n) - 1e-9
         assert not np.any((w > n + 1e-9) & (w < n + np.sqrt(n) - 1e-9))
+        assert not np.any((w > n - np.sqrt(n) + 1e-9) & (w < n - 1e-9))
 
 
 @pytest.mark.parametrize("rep", [character_multiset(12, [0, 3, 3]), character_multiset(7, [1]),
