@@ -69,6 +69,7 @@ from .groups import (
 )
 from .linalg import Subspace, hermitian_eig, psd_power, rank_and_range, subspace_equal, subspace_perp
 from .reps import (
+    IsotypicDecomposition,
     ProjectiveRep,
     RepVerification,
     character_subrep,

@@ -21,9 +21,10 @@ For dual pairs, three biconditional clauses tie the two orbit
 classifications of one and the same vector together; the sweep machinery
 hammers those clauses with seeded random and adversarial vectors and treats
 any failure as a counterexample worth dumping.  Clauses read orbit flags
-only, so sweeps and the Riesz search take them from a rank certificate and
-run an eigendecomposition only where it stands aside or a counterexample
-needs its bounds.
+only, so sweeps take them from the isotypic certificate or a rank
+certificate, the Riesz search from the rank certificate, and both run an
+eigendecomposition only where the certificates stand aside or a
+counterexample needs its bounds.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ from .vonneumann import operator_subspace_residual
 PAIR_TOL = 1e-8  # gate on the largest entry of a generator commutator
 
 ALL_CLAUSES = ("frame_sequence", "frame_riesz", "parseval_orthonormal")
+
+# Seeded draws each witness search tries, in certify_dual_pair by default and
+# in every sweep.
+WITNESS_DRAWS = 50
 
 # Substream index offsets keeping the random draws of the different
 # search/sweep phases disjoint for one and the same seed.
@@ -220,7 +225,7 @@ def is_commuting_pair(pi: ProjectiveRep, sigma: ProjectiveRep,
 
 
 def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
-                      n_samples: int = 50, tol: float = PAIR_TOL,
+                      n_samples: int = WITNESS_DRAWS, tol: float = PAIR_TOL,
                       rank_tol: float = RANK_TOL,
                       flag_tol: float = FLAG_TOL) -> DualPairReport:
     """Certify the commuting condition and search seeded random vectors for
@@ -235,29 +240,16 @@ def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
     if n_samples < 0:
         raise InvalidParameterError(f"number of search draws must be >= 0, got {n_samples}")
     check = is_commuting_pair(pi, sigma, tol, rank_tol)
-
-    frame_vector = None
-    parseval_vector = None
+    frame_vector, riesz_vector = _witnesses(pi, sigma, seed, n_samples, rank_tol, flag_tol)
     bessel_bound = None
-    for i in range(n_samples):
-        xi = random_complex_vector(substream(seed, _FRAME_SEARCH_BASE + i), pi.dim)
-        if classify(pi, xi, rank_tol, flag_tol).is_complete_frame:
-            frame_vector = xi
-            bessel_bound = classify(sigma, xi, rank_tol, flag_tol).upper_bound
-            refined = parseval_normalize(pi, xi, rank_tol)
-            refined_cls = classify(pi, refined, rank_tol, flag_tol)
-            if refined_cls.is_complete_frame and refined_cls.is_parseval:
-                parseval_vector = refined
-            break
-
-    riesz_vector = None
+    parseval_vector = None
+    if frame_vector is not None:
+        bessel_bound = classify(sigma, frame_vector, rank_tol, flag_tol).upper_bound
+        refined = parseval_normalize(pi, frame_vector, rank_tol)
+        refined_cls = classify(pi, refined, rank_tol, flag_tol)
+        if refined_cls.is_complete_frame and refined_cls.is_parseval:
+            parseval_vector = refined
     riesz_blocked_by_dim = sigma.group.order > sigma.dim
-    if not riesz_blocked_by_dim:
-        for i in range(n_samples):
-            xi = random_complex_vector(substream(seed, _RIESZ_SEARCH_BASE + i), sigma.dim)
-            if _orbit_flags(sigma, xi[None], rank_tol, flag_tol).is_riesz_sequence[0]:
-                riesz_vector = xi
-                break
 
     feasible = check.is_pair and frame_vector is not None and riesz_vector is not None
     if feasible:
@@ -282,6 +274,28 @@ def certify_dual_pair(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int = 0,
         notes = f"no Riesz vector among {n_samples} seeded draws (dimension permits one)"
     return DualPairReport(check, frame_vector, bessel_bound, parseval_vector,
                           riesz_vector, feasible, infeasibility, notes, seed, n_samples)
+
+
+def _witnesses(pi: ProjectiveRep, sigma: ProjectiveRep, seed: int, n_samples: int,
+               rank_tol: float, flag_tol: float) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """certify_dual_pair's witness search: the first of n_samples seeded
+    draws whose pi-orbit is a complete frame, and the first whose
+    sigma-orbit is a Riesz sequence (None when no draw is, or, without a
+    draw, when sigma's group outnumbers the dimension)."""
+    frame_vector = None
+    for i in range(n_samples):
+        xi = random_complex_vector(substream(seed, _FRAME_SEARCH_BASE + i), pi.dim)
+        if classify(pi, xi, rank_tol, flag_tol).is_complete_frame:
+            frame_vector = xi
+            break
+    riesz_vector = None
+    if sigma.group.order <= sigma.dim:
+        for i in range(n_samples):
+            xi = random_complex_vector(substream(seed, _RIESZ_SEARCH_BASE + i), sigma.dim)
+            if _orbit_flags(sigma, xi[None], rank_tol, flag_tol).is_riesz_sequence[0]:
+                riesz_vector = xi
+                break
+    return frame_vector, riesz_vector
 
 
 def verify_duality(pi: ProjectiveRep, sigma: ProjectiveRep, xi,
@@ -387,9 +401,12 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     """Check the duality clauses on seeded random draws plus the adversarial
     set.
 
-    The pair is certified once up front; a pair that is not even commuting
-    raises InvalidPairError.  Clause selection (_theorem_clauses, as for
-    verify_duality) follows what is actually a theorem for the pair at hand:
+    The pair is certified once up front, by is_commuting_pair and the
+    witness search of certify_dual_pair, without the Bessel bound and
+    Parseval refinement that only certify_dual_pair's report reads; a pair
+    that is not even commuting raises InvalidPairError.  Clause selection
+    (_theorem_clauses, as for verify_duality) follows what is actually a
+    theorem for the pair at hand:
     all three clauses for a certified dual pair over one index group; only
     the scale-free clauses (frame sequence, frame/Riesz) when the index
     groups differ, as they do for adjoint Gabor pairs away from critical
@@ -404,23 +421,28 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
     Vectors go in blocks of as many rows as SWEEP_BYTES holds orbits of on
     the side with the smaller group; each block is checked and scaled once,
     and its flags come from frames._scaled_flags under both
-    representations, each in chunks whose orbits fit SWEEP_BYTES, so a
-    chunk that the rank certificate decides needs no eigendecomposition and
-    no array a block forms outgrows the budget.  The arrays the chunks work
-    in are kept for this call only.  An inconsistent vector's counterexample
-    carries its rows of classify_block run on the inconsistent vectors of
-    its block alone: the flags are the same, and the bounds those of
-    classify.  No flag, count or bound depends on the budget.
+    representations.  Each side tries three routes in turn: the
+    isotypic certificate on the whole block, where the representation has
+    an isotypic decomposition (ProjectiveRep.isotypic; the regular pairs of
+    abelian groups with a trivial or degenerate cocycle, Gabor pairs and
+    character families, not Heisenberg regular pairs), one dim x dim
+    product per row; then, for the rows it leaves, the rank certificate in
+    chunks whose orbits fit SWEEP_BYTES; then eigh on the chunks that
+    stands aside for.  So no array a block forms outgrows the budget.  The
+    arrays the chunks work in are kept for this call only.  An inconsistent
+    vector's counterexample carries its rows of classify_block run on the
+    inconsistent vectors of its block alone: the flags are the same, and the
+    bounds those of classify.  No flag, count or bound depends on the
+    budget.
     """
     if n_vectors < 0:
         raise InvalidParameterError(f"number of random draws must be >= 0, got {n_vectors}")
-    certificate = certify_dual_pair(pi, sigma, seed, tol=pair_tol,
-                                    rank_tol=rank_tol, flag_tol=flag_tol)
-    if not certificate.commuting.is_pair:
-        raise InvalidPairError(
-            f"not a commuting pair (residual {certificate.commuting.residual:.3e})"
-        )
-    clauses = _theorem_clauses(certificate.feasible, parseval=pi.group == sigma.group)
+    commuting = is_commuting_pair(pi, sigma, pair_tol, rank_tol)
+    if not commuting.is_pair:
+        raise InvalidPairError(f"not a commuting pair (residual {commuting.residual:.3e})")
+    witnesses = _witnesses(pi, sigma, seed, WITNESS_DRAWS, rank_tol, flag_tol)
+    feasible = all(vector is not None for vector in witnesses)
+    clauses = _theorem_clauses(feasible, parseval=pi.group == sigma.group)
 
     adversarial = adversarial_vectors(pi, seed, rank_tol=rank_tol)
     size = _budget_rows(SWEEP_BYTES, min(pi.group.order, sigma.group.order), pi.dim)
@@ -479,8 +501,8 @@ def duality_sweep(pi: ProjectiveRep, sigma: ProjectiveRep, n_vectors: int = 200,
         n_skipped=n_skipped,
         n_consistent=n_consistent,
         n_inconsistent=n_inconsistent,
-        feasible=certificate.feasible,
-        commuting_residual=certificate.commuting.residual,
+        feasible=feasible,
+        commuting_residual=commuting.residual,
         parseval_gram_defect=gram_defect,
         rank_tolerance=rank_tol,
         flag_tolerance=flag_tol,

@@ -25,14 +25,24 @@ span decides both completeness (span = dim) and the Riesz property (span =
 Gram test at the flag tolerance, run only on Riesz orbits.  classify_block
 does this for a block of vectors with one batched LAPACK call; classify is
 a block of one.  Callers that read flags only (sweeps, the Riesz search)
-go through _orbit_flags, or, for a sweep, through _scaled_flags, which
-takes a block in chunks whose orbits fit a byte budget (a sweep's
-SWEEP_BYTES), so the rows a chunk holds shrink as |G| dim grows.  A
-Cholesky certificate (linalg.full_rank_certificate) decides a chunk whose
-orbits all span min(dim, |G|) dimensions and none of which can be Parseval, from orbits
-gathered as phase * x[perm] when the representation is stored in monomial
-form, and any other chunk is classified as by classify_block.  Every flag
-is proved or classify_block's, so none depends on the chunks.
+go through _orbit_flags, or, for a sweep, through _scaled_flags, and three
+routes decide them in turn.  First the isotypic certificate
+(_isotypic_flags), where the representation has an isotypic decomposition
+(ProjectiveRep.isotypic: monomial form, an abelian group, a cocycle with
+homomorphic exponents, and no irreducible of degree above 1 occurring
+twice): one dim x dim product per row gives the frame spectrum in closed
+form, and it decides every row whose blocks all clear the rank cut with a
+margin and whose trace is far from that of a Parseval orbit.  A block of
+one row, such as a draw of the Riesz search, skips it, as it would not
+repay the decomposition.  The rows
+it leaves go in chunks whose orbits fit a byte budget (a sweep's
+SWEEP_BYTES), so the rows a chunk holds shrink as |G| dim grows.  Second,
+a Cholesky certificate (linalg.full_rank_certificate) decides a chunk
+whose orbits all span min(dim, |G|) dimensions and none of which can be
+Parseval, from orbits gathered as phase * x[perm] when the representation
+is stored in monomial form.  Last, any other chunk is classified as by
+classify_block.  Every flag is proved or classify_block's, so none depends
+on the route or the chunks.
 Classification is scale-free: a row whose entries all lie below _SMALL is
 scaled up by a power of two before its orbit is formed, and its bounds back
 down by the square, both exact.  Whether any orbit is a complete frame is
@@ -62,6 +72,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .linalg import (
+    _TRACE_MAX,
+    _TRACE_MIN,
     RANK_TOL,
     Subspace,
     full_rank_certificate,
@@ -285,6 +297,9 @@ class OrbitFlags:
     is_orthonormal: np.ndarray
 
 
+_FLAG_NAMES = tuple(f.name for f in fields(OrbitFlags))
+
+
 def _orbit_flags(rep: ProjectiveRep, xs, rank_tol: float = RANK_TOL,
                  flag_tol: float = FLAG_TOL) -> OrbitFlags:
     """classify_block's flags for the rows of xs (shape (k, dim)), decided
@@ -303,29 +318,125 @@ def _scaled_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray,
                   rank_tol: float = RANK_TOL, flag_tol: float = FLAG_TOL,
                   scratch: dict | None = None, budget: int | None = None) -> OrbitFlags:
     """_orbit_flags on a block that _scaled_block has checked and scaled by
-    2^shift, taken in chunks of _budget_rows(budget, |G|, dim) rows (the
-    whole block when budget is None), so that no orbit array a chunk forms
-    exceeds budget bytes.
+    2^shift.
 
-    Each chunk is decided on its own, by a certificate or as classify_block
-    does; every row's flags are either proved or classify_block's, so they
-    do not depend on the chunks.  scratch, a dict the caller keeps for one
-    sweep, lends the gathered orbits and the certificate's product arrays
-    that later chunks reuse: fresh arrays of that size cost page faults on
-    every chunk.
+    The isotypic certificate (_isotypic_flags) decides what rows it can of
+    a block of two or more, when the representation has an isotypic
+    decomposition (ProjectiveRep.isotypic, built on first use at about the
+    cost of the rank certificate on a few hundred rows, which a single row,
+    such as a draw of the Riesz search, does not repay); the other rows
+    go in chunks of _budget_rows(budget, |G|, dim) rows (all of them when
+    budget is None), so that no orbit array a chunk forms exceeds budget
+    bytes, each decided by the rank certificate or as classify_block does
+    (_chunk_flags).  Every row's flags are either proved or
+    classify_block's, so they do not depend on the chunks.  scratch, a
+    dict the caller keeps for one sweep, lends the arrays that later blocks
+    and chunks reuse: fresh arrays of that size cost page faults every time.
     """
+    if len(block) < 2 or rep.isotypic is None:
+        return _chunked_flags(rep, block, shift, rank_tol, flag_tol, scratch, budget)
+    flags = {name: np.empty(len(block), dtype=bool) for name in _FLAG_NAMES}
+    rest = _isotypic_flags(rep, block, shift, rank_tol, flag_tol, flags, scratch)
+    if len(rest):
+        others = _chunked_flags(rep, block[rest], shift[rest], rank_tol, flag_tol, scratch,
+                                budget)
+        for name in _FLAG_NAMES:
+            flags[name][rest] = getattr(others, name)
+    return OrbitFlags(**flags)
+
+
+def _chunked_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray, rank_tol: float,
+                   flag_tol: float, scratch: dict | None, budget: int | None) -> OrbitFlags:
+    """_chunk_flags on each chunk of _budget_rows(budget, |G|, dim) rows of
+    block, all of them when budget is None."""
     n, d = rep.group.order, rep.dim
     rows = len(block) if budget is None else _budget_rows(budget, n, d)
     if rows >= len(block):
         return _chunk_flags(rep, block, shift, rank_tol, flag_tol, scratch)
-    names = [f.name for f in fields(OrbitFlags)]
-    out = {name: np.empty(len(block), dtype=bool) for name in names}
+    flags = {name: np.empty(len(block), dtype=bool) for name in _FLAG_NAMES}
     for start in range(0, len(block), rows):
         part = slice(start, start + rows)
-        flags = _chunk_flags(rep, block[part], shift[part], rank_tol, flag_tol, scratch)
-        for name in names:
-            out[name][part] = getattr(flags, name)
-    return OrbitFlags(**out)
+        chunk = _chunk_flags(rep, block[part], shift[part], rank_tol, flag_tol, scratch)
+        for name in _FLAG_NAMES:
+            flags[name][part] = getattr(chunk, name)
+    return OrbitFlags(**flags)
+
+
+def _isotypic_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray,
+                    rank_tol: float, flag_tol: float, flags: dict,
+                    scratch: dict | None) -> np.ndarray:
+    """Write the flags of the rows of block that the isotypic certificate
+    decides into flags (arrays over the rows, keyed by OrbitFlags field);
+    return the indices of the other rows.  rep.isotypic must not be None.
+
+    The certificate.  With W the basis of rep.isotypic (k the degree, one
+    block of columns per central character chi), y = x conj(W) takes one
+    product, and lambda_chi = (|G| / k) ||y_chi||^2, t = |G| ||x||^2.  A row
+    is decided when it was not scaled (shift 0), t lies in
+    [tiny / eps, max / 4], every lambda_chi exceeds (rank_tol + delta) t and
+    |t - r| > r flag_tol + r delta t, for r = k times the number of blocks
+    and delta = 8 (|G| + dim + 4)(sqrt(dim) + 1) eps + 3 error
+    + 5 phase_error (the bounds of rep.isotypic).  Its orbit then spans r
+    dimensions on classify_block's cut: it is a frame sequence, complete
+    iff r = dim, Riesz iff r = |G|, and neither Parseval nor orthonormal.
+    No row is decided when r < dim and rank_tol < r delta.
+
+    Why.  Let pi_e be the exact representation of rep.isotypic and S_e its
+    frame operator of x.  S_e lies in pi_e(G)', so by Schur orthogonality it
+    acts on block chi as (|G| / k) tr(P_chi x x*) I_k when the block holds
+    one irreducible of degree k, and as |G| P_chi x x* P_chi when k = 1; the
+    blocks are orthogonal.  So the nonzero eigenvalues of S_e are the
+    lambda_chi of the exact basis, each k times, r in all, summing to t,
+    and the other dim - r are 0.  Against them:
+    - y is computed within 2 (dim + 2) sqrt(dim) eps ||x|| + error ||x|| of
+      x conj(W_e) (a length-dim product against entries of modulus
+      1 / sqrt|O|), and the sums of squares within (2 dim + 1) eps, so each
+      computed lambda_chi lies within
+      ((4.02 (dim + 2) sqrt(dim) + 2 dim + 2) eps + 2.01 error) t of the
+      exact one, and the computed t within (2 dim + 1) eps t of t;
+    - classify_block's frame operator is formed from the stored rep, whose
+      orbit vectors lie within phase_error ||x|| of pi_e's, so S differs
+      from S_e by at most 2.01 phase_error t; forming it from the dense
+      orbits and its eigh add at most (2 |G| + 4 dim + 11) eps t, as in
+      linalg.full_rank_certificate's proof.  With Weyl's inequality each
+      computed eigenvalue lies within e t of its exact counterpart, for
+      e = (2 |G| + 4 dim + 11) eps + 2.01 phase_error.
+    delta exceeds 1.01 times the sum of the relative lambda error, 2 e and
+    the relative error of t.  So the r largest computed eigenvalues exceed
+    rank_tol (1 + e) t, at least rank_tol times the largest, and the other
+    dim - r, at most e t, lie at or under rank_tol (t / r - e t), which
+    rank_tol >= r delta ensures: exactly r eigenvalues are nonzero.  A
+    Parseval orbit has all r of them within flag_tol of 1 and an
+    orthonormal one (Riesz, r = |G|) Gram diagonal entries within flag_tol
+    of 1, so either has a trace within r flag_tol of r, and the computed
+    eigenvalues sum to within r delta t of the computed t.  An unscaled
+    nonzero row has an entry of modulus at least 2^-200, so its orbit at
+    the identity is not zero.  Rows whose squares overflow fail the trace
+    range, and are left to the other routes with the rest.
+    """
+    decomposition = rep.isotypic
+    n, d, k = rep.group.order, rep.dim, decomposition.degree
+    r = k * len(decomposition.starts)
+    eps = np.finfo(float).eps
+    delta = (8 * (n + d + 4) * (np.sqrt(d) + 1) * eps + 3 * decomposition.error
+             + 5 * decomposition.phase_error)
+    if r < d and rank_tol < r * delta:
+        return np.arange(len(block))
+    coefficients = np.matmul(block, decomposition.analysis,
+                             out=_scratch(scratch, "isotypic", block.shape))
+    values = np.ascontiguousarray(block).view(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.square(coefficients.view(float), out=coefficients.view(float))
+        energy = np.add.reduceat(squares, 2 * decomposition.starts, axis=1) * (n // k)
+        trace = np.einsum("ij,ij->i", values, values) * n
+        decided = (shift == 0) & (trace >= _TRACE_MIN) & (trace <= _TRACE_MAX) \
+            & (energy > ((rank_tol + delta) * trace)[:, None]).all(axis=1) \
+            & (np.abs(trace - r) > r * flag_tol + r * delta * trace)
+    for name, value in (("is_complete_frame", r == d), ("is_frame_sequence", True),
+                        ("is_parseval", False), ("is_riesz_sequence", r == n),
+                        ("is_orthonormal", False)):
+        flags[name][decided] = value
+    return np.flatnonzero(~decided)
 
 
 def _chunk_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray, rank_tol: float,
@@ -354,7 +465,8 @@ def _chunk_flags(rep: ProjectiveRep, block: np.ndarray, shift: np.ndarray, rank_
     else:
         orbits = _gathered_orbits(rep, block, _scratch(scratch, "orbits", (len(block), n, d)))
     certificate = full_rank_certificate(orbits, rank_tol,
-                                        out=_scratch(scratch, "product", (len(block), m, m)))
+                                        out=_scratch(scratch, "product", (len(block), m, m)),
+                                        conj=_scratch(scratch, "conj", orbits.shape))
     if certificate is not None:
         trace, slack = certificate
         if np.all((shift == 0) & (np.abs(trace - m) > m * flag_tol + slack)):

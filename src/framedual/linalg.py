@@ -58,7 +58,7 @@ def nonzero_mask(values, rank_tol: float = RANK_TOL, *, singular: bool = False,
     return v > (np.sqrt(rank_tol) if singular else rank_tol) * scale
 
 
-def full_rank_certificate(a, rank_tol: float = RANK_TOL, out=None):
+def full_rank_certificate(a, rank_tol: float = RANK_TOL, out=None, conj=None):
     """Certify, without eigenvalues, where nonzero_mask would cut the
     spectrum hermitian_eig computes for the product B* B of every matrix B
     in a stack b, or for its conjugate B^T conj(B), which has the same
@@ -71,7 +71,8 @@ def full_rank_certificate(a, rank_tol: float = RANK_TOL, out=None):
     delta = 32 N eps.  M is A* A (q x q) when q <= p, else A A* (p x p, the
     Gram route); either way its spectrum is the nonzero spectrum of A* A,
     and t = tr M = ||A||_F^2.  M is formed in out (shape (k, m, m), complex)
-    when given, and one batched Cholesky factorization runs on M -
+    when given, from conj(a) written into conj (a's shape) when given, so
+    that a caller who lends both allocates only the Cholesky factor; one batched Cholesky factorization runs on M -
     (rank_tol + delta) tr(M) I, its diagonal shifted in place.  If it
     succeeds for every matrix, the eigenvalues hermitian_eig(B* B) returns
     above nonzero_mask's cut are exactly the m largest, and those sum to
@@ -135,7 +136,7 @@ def full_rank_certificate(a, rank_tol: float = RANK_TOL, out=None):
     gram_route = q > p
     if gram_route and rank_tol < m * delta:
         return None
-    adjoint = a.conj().swapaxes(-1, -2)
+    adjoint = np.conjugate(a, out=conj).swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         product = np.matmul(a, adjoint, out=out) if gram_route \
             else np.matmul(adjoint, a, out=out)

@@ -6,6 +6,7 @@ eigh where it stands aside) against classify_block; and classification
 under power-of-two scaling."""
 
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -382,10 +383,10 @@ MONOMIAL_FIXED_REPS = [rep for rep in FIXED_REPS if rep.perm is not None]
 
 def assert_certified_flags_are_classify_flags(rep, xs) -> int:
     """_orbit_flags on an unbuilt copy of rep, for the whole block and every
-    row alone: the dense stack stays unbuilt, a block the certificate
-    decides from gathered orbits has classify_block's flags on the dense
-    orbits, and any other block reaches eigh on orbits bit-equal to the
-    dense product, formed on another copy.  Returns the number of blocks
+    row alone: the dense stack stays unbuilt, a block the certificates
+    decide has classify_block's flags on the dense orbits, and any row they
+    leave reaches eigh on an orbit bit-equal to the dense product, formed on
+    another copy.  Returns the number of blocks
     the certificate decided."""
     decided = 0
     for block in [xs] + [x[None] for x in xs]:
@@ -398,9 +399,11 @@ def assert_certified_flags_are_classify_flags(rep, xs) -> int:
                       or classify_orbits(r, orbits, *args))
             flags = _orbit_flags(copy, block)
         assert "matrices" not in vars(copy)
+        # the rows no certificate decides reach eigh on their dense orbits
+        dense = _orbits(unbuilt(rep).matrices, _scaled_block(rep, block)[0])
+        rows = {orbit.tobytes() for orbit in dense}
         for orbits in fallbacks:
-            dense = _orbits(unbuilt(rep).matrices, _scaled_block(rep, block)[0])
-            assert orbits.tobytes() == dense.tobytes()
+            assert all(orbit.tobytes() in rows for orbit in orbits)
         decided += not fallbacks
         reference = classify_block(rep, block)
         for f in fields(OrbitFlags):
@@ -542,10 +545,11 @@ def test_orbit_flags_in_chunks_are_classify_flags():
                                           err_msg=f"{rep.label} {f.name}")
 
 
-def test_no_array_of_a_large_sweep_outgrows_the_budget(monkeypatch):
-    # Gabor (16,1,1): 256 elements on C^16, so 64 rows of orbits take 4 MiB;
-    # the pi side goes four rows at a time, the one-element sigma side in
-    # blocks of 1152
+def sweep_array_sizes(monkeypatch) -> list:
+    """The bytes of every array a 300-draw sweep on Gabor (16,1,1) forms for
+    its blocks.  256 elements on C^16: 64 rows of orbits take 4 MiB, so the
+    pi side goes four rows at a time, the one-element sigma side in blocks
+    of 1152; the isotypic certificate's coefficients take a block's size."""
     pi, sigma = make_gabor_pair(GaborLattice(16, 1, 1))
     sizes = []
 
@@ -559,11 +563,150 @@ def test_no_array_of_a_large_sweep_outgrows_the_budget(monkeypatch):
         monkeypatch.setattr(module, name, recorded)
 
     spy(frames_module, "full_rank_certificate",
-        lambda args, kwargs, out: [args[0], kwargs["out"]])
+        lambda args, kwargs, out: [args[0], kwargs["out"], kwargs["conj"]])
     spy(frames_module, "_classify_orbits", lambda args, kwargs, out: [args[1]])
+    spy(frames_module, "_isotypic_flags", lambda args, kwargs, out: [args[1]])
     spy(duality_module, "random_complex_block", lambda args, kwargs, out: [out])
     spy(duality_module, "_rep_orbits", lambda args, kwargs, out: [out])
     report = duality_sweep(pi, sigma, n_vectors=300, seed=2)
     assert report.n_inconsistent == 0
+    return sizes
+
+
+def test_no_array_of_a_large_sweep_outgrows_the_budget(monkeypatch):
+    sizes = sweep_array_sizes(monkeypatch)
+    assert len(sizes) > 5
+    assert max(sizes) <= DEFAULT_BUDGET
+
+
+def test_no_orbit_chunk_of_a_large_sweep_outgrows_the_budget(monkeypatch):
+    # without the isotypic certificate the pi side takes 75 chunks of orbits
+    monkeypatch.setattr(frames_module, "_isotypic_flags",
+                        lambda rep, block, *args: np.arange(len(block)))
+    sizes = sweep_array_sizes(monkeypatch)
     assert len(sizes) > 100
     assert max(sizes) <= DEFAULT_BUDGET
+
+
+# --- the isotypic certificate ------------------------------------------------
+
+ISOTYPIC_REPS = [rep for rep in FIXED_REPS if rep.isotypic is not None]
+
+
+def isotypic_vector(rep, norms) -> np.ndarray:
+    """x = W y with ||y_chi||^2 = norms[chi] in each isotypic block, so the
+    nonzero frame spectrum is (|G| / k) norms, each k times."""
+    dec = rep.isotypic
+    y = random_complex_vector(substream(len(norms), 3), rep.dim)
+    sizes = np.diff(np.append(dec.starts, rep.dim))
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
+    y *= np.sqrt(np.asarray(norms, dtype=float)[blocks]
+                 / np.add.reduceat(np.abs(y) ** 2, dec.starts)[blocks])
+    return dec.basis @ y
+
+
+def isotypic_decided(rep, xs) -> np.ndarray:
+    """Which rows of xs the isotypic certificate decides."""
+    flags = {name: np.empty(len(xs), dtype=bool) for name in frames_module._FLAG_NAMES}
+    block, shift = _scaled_block(rep, xs)
+    rest = frames_module._isotypic_flags(rep, block, shift, RANK_TOL, FLAG_TOL, flags, None)
+    decided = np.ones(len(xs), dtype=bool)
+    decided[rest] = False
+    return decided
+
+
+def test_reps_with_an_isotypic_decomposition():
+    labels = {rep.label for rep in ISOTYPIC_REPS}
+    assert {"lambda[Z8]", "rho[Z8]", "gabor[8;2,2]", "gabor[8;4,4]", "gabor[12;3,2]",
+            "gabor[12;6,4]", "char[Z8|[1, 3, 5]]"} <= labels
+    assert "lambda[Z3xZ3]" not in labels
+
+
+@pytest.mark.parametrize("rep", ISOTYPIC_REPS, ids=lambda rep: rep.label)
+def test_isotypic_flags_match_classify_block_on_draws(rep):
+    draws = np.stack([random_complex_vector(substream(11, i), rep.dim) for i in range(300)])
+    assert isotypic_decided(rep, draws).all()
+    assert_flags_match_classify_block(rep, draws[:40])
+    flags, reference = _orbit_flags(rep, draws), classify_block(rep, draws)
+    for f in fields(OrbitFlags):
+        np.testing.assert_array_equal(getattr(flags, f.name), getattr(reference, f.name))
+
+
+@pytest.mark.parametrize("ratio", CUT_RATIOS)
+def test_isotypic_flags_at_the_rank_cut_of_gabor_8_2_2(ratio):
+    # one block's lambda_chi at ratio * rank_tol of the others'
+    for rep in (gabor_rep(GaborLattice(8, 2, 2)), gabor_rep(GaborLattice(8, 4, 4))):
+        blocks = len(rep.isotypic.starts)
+        x = isotypic_vector(rep, [1.0] * (blocks - 1) + [ratio * RANK_TOL])
+        # the certificate's cut is relative to the trace, not to the largest
+        # eigenvalue: lambda_min / t is about ratio rank_tol / (k (blocks - 1))
+        assert not isotypic_decided(rep, x[None]).any() or \
+            ratio > rep.isotypic.degree * (blocks - 1)
+        assert_flags_match_classify_block(rep, np.stack([x, x]))
+        full = rep.isotypic.degree * blocks
+        if ratio != 1.0:  # at the cut itself roundoff decides
+            span = classify(rep, x).orbit_span_dim
+            assert span == (full if ratio > 1.0 else full - rep.isotypic.degree)
+
+
+@pytest.mark.parametrize("rep", ISOTYPIC_REPS, ids=lambda rep: rep.label)
+def test_isotypic_flags_on_vanishing_parseval_and_tiny_rows(rep):
+    dec = rep.isotypic
+    blocks = len(dec.starts)
+    vanishing = [isotypic_vector(rep, [1.0] * j + [0.0] + [1.0] * (blocks - j - 1))
+                 for j in range(blocks)]
+    draws = [random_complex_vector(substream(12, i), rep.dim) for i in range(3)]
+    parseval = [parseval_normalize(rep, x) for x in draws]
+    tiny = [x * 2.0 ** -700 for x in draws]
+    xs = np.stack(vanishing + parseval + tiny + draws)
+    decided = isotypic_decided(rep, xs)
+    assert not decided[:-3].any() and decided[-3:].all()
+    assert_flags_match_classify_block(rep, xs)
+
+
+@pytest.mark.parametrize("pair", ["regular Z8", "gabor (12,3,2)"])
+def test_sweep_reaches_the_rank_certificate_only_on_its_adversarial_blocks(pair, monkeypatch):
+    z8 = cyclic_group(8)
+    pi, sigma = (make_regular_pair(z8, trivial_multiplier(z8)) if pair == "regular Z8"
+                 else make_gabor_pair(GaborLattice(12, 3, 2)))
+    calls = []
+    original = frames_module.full_rank_certificate
+    monkeypatch.setattr(frames_module, "full_rank_certificate",
+                        lambda a, *args, **kwargs: calls.append(a.shape)
+                        or original(a, *args, **kwargs))
+    empty = duality_sweep(pi, sigma, n_vectors=0, seed=5)
+    without_draws = list(calls)
+    calls.clear()
+    report = duality_sweep(pi, sigma, n_vectors=3000, seed=5)
+    assert (report.n_consistent, report.n_inconsistent) == (empty.n_consistent + 3000, 0)
+    assert calls == without_draws
+
+
+def test_a_certified_chunk_allocates_only_the_cholesky_factor(monkeypatch):
+    # Heisenberg Z3xZ3 has no isotypic decomposition (an irreducible of
+    # degree 3 three times), so its draws go to the rank certificate, on
+    # orbits, their conjugate and the product all lent by the sweep's scratch
+    mu3 = heisenberg_multiplier(3)
+    rep = left_regular(mu3.group, mu3)
+    assert rep.isotypic is None
+    rows = frames_module._budget_rows(DEFAULT_BUDGET, 9, 9)
+    xs = np.stack([random_complex_vector(substream(13, i), 9) for i in range(rows)])
+    shift = np.zeros(rows, dtype=int)
+    scratch = {}
+    frames_module._chunk_flags(rep, xs, shift, RANK_TOL, FLAG_TOL, scratch)
+    certified = []
+    original = frames_module.full_rank_certificate
+    monkeypatch.setattr(frames_module, "full_rank_certificate",
+                        lambda *args, **kwargs: certified.append(original(*args, **kwargs))
+                        or certified[-1])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        frames_module._chunk_flags(rep, xs, shift, RANK_TOL, FLAG_TOL, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert certified and certified[0] is not None
+    factor = rows * 9 * 9 * 16
+    assert factor > 64 * 2 ** 10
+    assert peak - before <= factor + 16 * 2 ** 10

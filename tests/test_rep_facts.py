@@ -19,6 +19,7 @@ from framedual import (
     cyclic_group,
     dilate_to_complete,
     direct_product,
+    frame_operator,
     from_cayley_table,
     gabor_rep,
     heisenberg_multiplier,
@@ -225,3 +226,102 @@ def test_small_side_spectrum_is_the_grams(rep):
     assert small.shape == (d * d,)
     np.testing.assert_allclose(small, full[n - d * d:], atol=1e-9)
     assert np.abs(full[:n - d * d]).max() < 1e-9
+
+
+# --- the isotypic decomposition ----------------------------------------------
+
+
+def block_sizes(dec) -> np.ndarray:
+    return np.diff(np.append(dec.starts, len(dec.basis)))
+
+
+def assert_isotypic_facts(rep):
+    """rep.isotypic against the routes it stands beside: W unitary within its
+    stated bound, k^2 |Z| = |G|, sum m^2 = commutant_dim, one block per
+    dimension of the center (the group average), every pi(g) block diagonal
+    in W, and lambda_chi the nonzero spectrum of the dense frame operator."""
+    dec = rep.isotypic
+    n, d, k = rep.group.order, rep.dim, dec.degree
+    eps = np.finfo(float).eps
+    defect = np.linalg.norm(dec.basis.conj().T @ dec.basis - np.eye(d), 2)
+    assert defect <= 2 * dec.error + dec.error ** 2 + d * eps
+    np.testing.assert_array_equal(dec.analysis, dec.basis.conj())
+    assert k * k * len(dec.radical) == n
+    assert np.all(block_sizes(dec) == k * dec.multiplicities)
+    assert k == 1 or np.all(dec.multiplicities == 1)
+    assert int(np.sum(dec.multiplicities ** 2)) == rep.commutant_dim
+    assert len(dec.starts) == rep.center().dim
+    blocks = np.repeat(np.arange(len(dec.starts)), block_sizes(dec))
+    off_block = blocks[:, None] != blocks[None, :]
+    in_basis = dec.basis.conj().T @ rep.matrices @ dec.basis
+    assert np.abs(in_basis[:, off_block]).max(initial=0.0) < 1e-12
+    for seed in range(3):
+        x = random_complex_block(seed, [0], d)[0]
+        y = x @ dec.analysis
+        lam = np.add.reduceat(np.abs(y) ** 2, dec.starts) * (n // k)
+        expected = np.sort(np.concatenate([np.repeat(lam, k), np.zeros(d - k * len(lam))]))
+        spectrum = np.linalg.eigvalsh(frame_operator(rep, x))
+        np.testing.assert_allclose(spectrum, expected, rtol=0, atol=1e-13 * spectrum[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders=st.sampled_from([(2, 2), (2, 4), (3, 3), (2, 6), (4, 4)]),
+       s=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       r=st.tuples(st.integers(0, 5), st.integers(0, 5)), side=sides)
+def test_isotypic_decomposition_of_time_frequency_regular_reps(orders, s, r, side):
+    rep = tf_regular(*orders, s, r, side)
+    dec = rep.isotypic
+    # a regular rep holds each irreducible d_i = k times, so it has a
+    # decomposition iff k = 1, iff all |G| irreducibles have degree 1, iff
+    # the center of its algebra has dimension |G|
+    assert (dec is None) == (rep.center().dim != rep.dim)
+    if dec is not None:
+        assert dec.degree == 1 and len(dec.radical) == rep.dim
+        assert_isotypic_facts(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice=st.sampled_from(LATTICES), adjoint=st.booleans())
+def test_isotypic_decomposition_of_gabor_lattices_and_adjoints(lattice, adjoint):
+    rep = gabor_rep(adjoint_lattice(lattice) if adjoint else lattice)
+    if rep.group.order == 1:
+        assert rep.isotypic is None
+    elif rep.isotypic is not None:
+        assert_isotypic_facts(rep)
+    else:  # some mu-irreducible of degree above 1 occurs more than once
+        k2 = rep.dim ** 2 // rep.commutant_dim  # sum m_i^2 = dim^2 / k^2 when every m_i = m
+        assert k2 > 1
+
+
+@pytest.mark.parametrize("lattice", [GaborLattice(8, 2, 2), GaborLattice(12, 3, 2),
+                                     GaborLattice(16, 2, 2), GaborLattice(16, 4, 2)])
+def test_isotypic_decomposition_of_sweep_lattices(lattice):
+    for rep in (gabor_rep(lattice), gabor_rep(adjoint_lattice(lattice))):
+        assert rep.isotypic is not None
+        assert_isotypic_facts(rep)
+
+
+def test_isotypic_decomposition_of_characters_and_trivial_cocycles():
+    group = direct_product(cyclic_group(2), cyclic_group(3))
+    for rep in (character_multiset(6, [0, 0, 1, 2, 2, 2]), character_multiset(7, [1]),
+                left_regular(group, trivial_multiplier(group)),
+                right_regular(group, trivial_multiplier(group))):
+        assert rep.isotypic is not None and rep.isotypic.degree == 1
+        assert_isotypic_facts(rep)
+
+
+def test_isotypic_decomposition_is_none_where_it_does_not_apply():
+    mu3 = heisenberg_multiplier(3)
+    z1 = cyclic_group(1)
+    z6 = cyclic_group(6)
+    lam6 = left_regular(z6, trivial_multiplier(z6))
+    d5 = from_cayley_table(dihedral_cayley(5))
+    nonabelian = left_regular(d5, trivial_multiplier(d5))
+    # phases off every root of unity: the same rep conjugated by a diagonal
+    twist = np.exp(0.3j * np.arange(6))
+    conjugated = monomial_rep(z6, trivial_multiplier(z6), lam6.perm,
+                              lam6.phase * twist[None, :] / twist[lam6.perm])
+    for rep in (left_regular(mu3.group, mu3), right_regular(mu3.group, mu3),
+                ProjectiveRep(z6, lam6.multiplier, lam6.matrices, label="dense"),
+                left_regular(z1, trivial_multiplier(z1)), nonabelian, conjugated):
+        assert rep.isotypic is None, rep.label
